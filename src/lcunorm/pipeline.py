@@ -74,7 +74,7 @@ _LABELS = {
 # Revision of the algorithm behind each cache entry.  Bump an entry when the
 # code that computes it changes, together with every entry read from it, so
 # that results of the older code miss; revision 1 keeps the original key.
-_REVISIONS = {"oo-theta": 2, "oo-pauli": 2, "oo-ac": 2}
+_REVISIONS = {"oo-theta": 2, "oo-pauli": 2, "oo-ac": 2, "de2": 2}
 
 # Pseudo-Huber widths searched from every orbital-optimization start: the
 # plain exact search plus a smoothed candidate (see oo_pauli).
@@ -203,6 +203,13 @@ class _MethodEngine:
             self._memo["oo"] = np.asarray(doc["theta"])
         return self._memo["oo"]
 
+    def _oo_frame(self):
+        """The tensors rotated to the optimized orbitals, and their JW polynomial."""
+        if "oo-frame" not in self._memo:
+            rotated = rotate_tensors(make_rotation(self._oo_theta()), self.t)
+            self._memo["oo-frame"] = (rotated, self._jw(rotated))
+        return self._memo["oo-frame"]
+
     def _gcsa(self):
         if "gcsa" not in self._memo:
             from .fragments import fragments_from_json, fragments_to_json
@@ -235,19 +242,14 @@ class _MethodEngine:
             poly = self._poly()
             return _entry(lambda_pauli_closed_form(t), self._pauli_count(poly))
         if method == "oo-pauli":
-            theta = self._oo_theta()
-            rotated = rotate_tensors(make_rotation(theta), t)
-            return _entry(
-                lambda_pauli_closed_form(rotated), self._pauli_count(self._jw(rotated))
-            )
+            rotated, poly = self._oo_frame()
+            return _entry(lambda_pauli_closed_form(rotated), self._pauli_count(poly))
         if method == "ac":
             part = sorted_insertion(self._poly())
             count = sum(1 for g in part.groups if g.norm > self.cutoff)
             return _entry(part.one_norm(), count)
         if method == "oo-ac":
-            theta = self._oo_theta()
-            rotated = rotate_tensors(make_rotation(theta), t)
-            part = sorted_insertion(self._jw(rotated))
+            part = sorted_insertion(self._oo_frame()[1])
             count = sum(1 for g in part.groups if g.norm > self.cutoff)
             return _entry(part.one_norm(), count)
         if method == "df":
@@ -311,7 +313,7 @@ def _resolve_source(source):
 
 
 def _config_echo(seed, csa_tol, df_tol, count_cutoff, cfg):
-    return {
+    echo = {
         "seed": seed,
         "csa_tol": csa_tol,
         "df_tol": df_tol,
@@ -320,6 +322,9 @@ def _config_echo(seed, csa_tol, df_tol, count_cutoff, cfg):
         "max_iters": cfg.max_iters,
         "restarts": cfg.restarts,
     }
+    if cfg.fd_step is not None:  # echoed only when set, so default keys stay put
+        echo["fd_step"] = cfg.fd_step
+    return echo
 
 
 def report_for_tensors(

@@ -7,10 +7,22 @@ excitations act on one factor with no cross-spin signs.  The interleaved
 spin-orbital ordering p = 2i + sigma used elsewhere maps onto this blocked
 ordering through a signed permutation handled at the Fock-operator
 boundary.
+
+The tensors are spin-free, so swapping the spins maps sector (na, nb)
+onto (nb, na), and the two share one spectrum; `spectral_range` therefore
+diagonalizes only the sectors with nb <= na.  A sector's operator data are
+the excitation stacks D_x = E_pq and A_x = sum_y g[y, x] D_y of each spin,
+one copy of each: D as an (n^2, d, d) array and A in the flattened
+(d, n^2 d) layout it is contracted in, so that the Lanczos matvec runs as
+four GEMMs and the dense assembly as one.  That data grows as
+n^2 d^2, so `spectral_range` estimates the bytes of its largest sector
+first and raises NumericalError above `_SECTOR_BYTES_LIMIT` (1 GiB)
+instead of allocating it.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -28,6 +40,7 @@ _DENSE_LIMIT_QUBITS = 14  # full-Fock size threshold for the all-dense path
 _DENSE_BLOCK_DIM = 400  # iterative path still diagonalizes small blocks densely
 _LANCZOS_CAP = 300
 _LANCZOS_TOL = 1e-7
+_SECTOR_BYTES_LIMIT = 1 << 30  # operator data one sector may take
 
 
 def _sector_basis(n, k):
@@ -60,8 +73,27 @@ def _excitation_stack(n, masks):
     return stack
 
 
+def _spin_block(t, masks):
+    """Operator data of one spin species on the span of `masks`: the stack
+    D[x] = E_pq (x = p*n + q), the stack A[x] = sum_y g[y, x] D[y] held in
+    its GEMM layout a_rows[A, (x, B)] = A[x][A, B], and sum_x h_x D[x]."""
+    n = t.n_orb
+    d = _excitation_stack(n, masks)
+    g = t.tbt.reshape(n * n, n * n)
+    a_rows = np.matmul(g.T, d.transpose(1, 0, 2)).reshape(len(masks), -1)
+    m = (t.obt.reshape(-1) @ d.reshape(n * n, -1)).reshape(len(masks), len(masks))
+    return d, a_rows, m
+
+
 class _Sector:
-    """All operator data for one (n_alpha, n_beta) block."""
+    """All operator data for one (n_alpha, n_beta) block.
+
+    A sector vector is held as a (db, da) matrix v[B, a], so an operator
+    X_beta (x) Y_alpha acts as X @ v @ Y.T.  The Hamiltonian is
+    e0 + sum_x h_x D_x + sum_x A_x D_x, with D and A summed over both spins.
+    Each spin keeps one copy of each stack, so the data of a sector with
+    n_alpha == n_beta is shared by both spins.
+    """
 
     def __init__(self, t, n_alpha, n_beta):
         n = t.n_orb
@@ -70,33 +102,44 @@ class _Sector:
         self.da = len(self.masks_a)
         self.db = len(self.masks_b)
         self.dim = self.da * self.db
-        g = t.tbt.reshape(n * n, n * n)
-        self.d_a = _excitation_stack(n, self.masks_a)
-        self.d_b = _excitation_stack(n, self.masks_b) if n_beta != n_alpha else self.d_a
-        obt_flat = t.obt.reshape(n * n)
-        self.m_a = np.einsum("x,xab->ab", obt_flat, self.d_a)
-        self.m_b = np.einsum("x,xab->ab", obt_flat, self.d_b)
-        self.a_a = np.einsum("yx,yab->xab", g, self.d_a)
-        self.a_b = np.einsum("yx,yab->xab", g, self.d_b) if n_beta != n_alpha else self.a_a
+        self.d_a, self.a_a_rows, self.m_a = _spin_block(t, self.masks_a)
+        if n_beta == n_alpha:
+            self.d_b, self.a_b_rows, self.m_b = self.d_a, self.a_a_rows, self.m_a
+        else:
+            self.d_b, self.a_b_rows, self.m_b = _spin_block(t, self.masks_b)
         self.e0 = t.e0
 
     def dense(self):
-        ha = self.m_a + np.einsum("xab,xbc->ac", self.a_a, self.d_a)
-        hb = self.m_b + np.einsum("xab,xbc->ac", self.a_b, self.d_b)
-        h = np.kron(np.eye(self.db), ha) + np.kron(hb, np.eye(self.da))
-        cross = np.einsum("xAB,xab->AaBb", self.d_b, self.a_a) + np.einsum(
-            "xAB,xab->AaBb", self.a_b, self.d_a
+        nn, da, db = len(self.d_a), self.da, self.db
+        a_a = self.a_a_rows.reshape(da, nn, da).transpose(1, 0, 2)
+        a_b = self.a_b_rows.reshape(db, nn, db).transpose(1, 0, 2)
+        eye_a, eye_b = np.eye(da), np.eye(db)
+        ha = self.m_a + np.tensordot(a_a, self.d_a, axes=([0, 2], [0, 1]))
+        hb = self.m_b + np.tensordot(a_b, self.d_b, axes=([0, 2], [0, 1]))
+        ha += self.e0 * eye_a
+        # h[(A, a), (B, b)] = sum_k left_k[A, B] right_k[a, b] over the cross
+        # terms D_x (x) A_x and A_x (x) D_x, then 1 (x) ha and hb (x) 1: one
+        # GEMM and one transpose, holding two dim x dim arrays at most
+        left = np.concatenate([self.d_b, a_b, eye_b[None], hb[None]])
+        right = np.concatenate([a_a, self.d_a, ha[None], eye_a[None]])
+        h = (left.reshape(-1, db * db).T @ right.reshape(-1, da * da)).reshape(
+            db, db, da, da
         )
-        h += cross.reshape(self.dim, self.dim)
-        h += self.e0 * np.eye(self.dim)
-        return h
+        return h.transpose(0, 2, 1, 3).reshape(self.dim, self.dim)
 
     def matvec(self, vec):
-        v = vec.reshape(self.db, self.da)
+        nn, da, db = len(self.d_a), self.da, self.db
+        v = vec.reshape(db, da)
         w = self.m_b @ v + v @ self.m_a.T + self.e0 * v
-        tt = np.matmul(self.d_b, v) + np.matmul(v, np.transpose(self.d_a, (0, 2, 1)))
-        w += np.einsum("xab,xbc->ac", self.a_b, tt)
-        w += np.einsum("xab,xcb->ac", tt, self.a_a)
+        # D_x v = D_x[beta] @ v + (D_x[alpha] @ v.T).T, in both orientations:
+        # t_b[x] = D_x v and t_a[x] = (D_x v).T
+        t_b = (self.d_b.reshape(nn * db, db) @ v).reshape(nn, db, da)
+        t_a = (self.d_a.reshape(nn * da, da) @ v.T).reshape(nn, da, db)
+        t_a += t_b.transpose(0, 2, 1)
+        t_b[...] = t_a.transpose(0, 2, 1)
+        # sum_x A_x[beta] t_b[x] + (sum_x A_x[alpha] t_a[x]).T
+        w += self.a_b_rows @ t_b.reshape(nn * db, da)
+        w += (self.a_a_rows @ t_a.reshape(nn * da, db)).T
         return w.ravel()
 
 
@@ -158,24 +201,64 @@ class SpectralRange:
         return 0.5 * (self.e_max - self.e_min)
 
 
+def _dense_sector(n, na, nb, method):
+    return method == "dense" or comb(n, na) * comb(n, nb) <= _DENSE_BLOCK_DIM
+
+
+def _sector_bytes(n, na, nb, method):
+    """Estimated bytes of one sector's operator data: the D and A stacks of
+    both spins, plus the work arrays of the path that diagonalizes it (the
+    two D_x v stacks of a matvec, or the GEMM operands of dense() and the
+    dim x dim arrays that it and eigvalsh hold at once)."""
+    da, db = comb(n, na), comb(n, nb)
+    stacks = 2 * n * n * (da * da + db * db)
+    if _dense_sector(n, na, nb, method):
+        work = stacks + 3 * (da * db) ** 2
+    else:
+        work = 2 * n * n * da * db
+    return 8 * (stacks + work)
+
+
+def _check_size(n, method):
+    """Raise before any allocation if the largest sector would not fit."""
+    sizes = {
+        (na, nb): _sector_bytes(n, na, nb, method)
+        for na in range(n + 1)
+        for nb in range(na + 1)
+    }
+    (na, nb), size = max(sizes.items(), key=lambda item: item[1])
+    if size > _SECTOR_BYTES_LIMIT:
+        raise NumericalError(
+            f"spectral range: sector (n_alpha={na}, n_beta={nb}) needs about "
+            f"{size / 2**30:.1f} GiB of operator data, above the "
+            f"{_SECTOR_BYTES_LIMIT / 2**30:.0f} GiB limit",
+            payload={"sector": (na, nb), "bytes": size},
+        )
+
+
 def spectral_range(t, method=None):
     """Extremes of the Hamiltonian over the whole Fock space.
 
     Dense per-sector diagonalization up to 14 spin-orbitals; above that,
     Lanczos on the large sectors (small ones stay dense).  `method` forces
-    a path ("dense"/"iterative") for cross-checks.
+    a path ("dense"/"iterative") for cross-checks.  Only sectors with
+    n_beta <= n_alpha are diagonalized: swapping the spins of the spin-free
+    tensors maps sector (na, nb) onto (nb, na), so both have one spectrum.
+    Raises NumericalError, before building any sector, when the largest
+    sector's operator data would exceed `_SECTOR_BYTES_LIMIT`.
     """
     n = t.n_orb
     if method is None:
         method = "dense" if 2 * n <= _DENSE_LIMIT_QUBITS else "iterative"
     if method not in ("dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
+    _check_size(n, method)
     e_min, e_max = np.inf, -np.inf
     worst = 0.0
     for na in range(n + 1):
-        for nb in range(n + 1):
+        for nb in range(na + 1):
             sec = _Sector(t, na, nb)
-            if method == "dense" or sec.dim <= _DENSE_BLOCK_DIM:
+            if _dense_sector(n, na, nb, method):
                 vals = np.linalg.eigvalsh(sec.dense())
                 lo, hi = float(vals[0]), float(vals[-1])
             else:

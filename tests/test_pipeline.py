@@ -179,3 +179,30 @@ def test_revision_bump_misses_only_that_method(tmp_path, monkeypatch, method):
     assert second[method] == first[method]
     assert all(e["lambda"] == 123.0 for m, e in second.items() if m != method)
     assert len(set(os.listdir(d)) - before) == 1
+
+
+def test_fd_step_is_part_of_the_cache_key(tmp_path):
+    from lcunorm.optimize import OptimizerConfig
+
+    d = str(tmp_path)
+    default = run_pipeline("h2", methods=["oo-pauli"], cache_dir=d)
+    assert "fd_step" not in default.config
+    # poison the cached entries: a hit returns the poison, a miss recomputes
+    for f in os.listdir(d):
+        path = os.path.join(d, f)
+        with open(path) as fh:
+            doc = json.load(fh)
+        if "lambda" in doc:
+            doc["lambda"] = 123.0
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+    before = set(os.listdir(d))
+    assert run_pipeline("h2", methods=["oo-pauli"], cache_dir=d).methods[
+        "oo-pauli"
+    ]["lambda"] == 123.0
+    stepped = run_pipeline(
+        "h2", methods=["oo-pauli"], cfg=OptimizerConfig(fd_step=0.3), cache_dir=d
+    )
+    assert stepped.config["fd_step"] == 0.3
+    assert stepped.methods["oo-pauli"]["lambda"] != 123.0
+    assert set(os.listdir(d)) - before

@@ -1,5 +1,7 @@
 """Spectral-range, sector, and minimal-LCU tests against dense oracles."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lcunorm.errors import NumericalError
 from lcunorm.spectra import (
     FockOperator,
     SpectralRange,
+    _Sector,
     minimal_lcu,
     sector_spectrum,
     spectral_range,
@@ -128,3 +131,43 @@ def test_shift_moves_sectors_by_number_polynomial():
         before = sector_spectrum(t, k)
         after = sector_spectrum(ts, k)
         assert np.allclose(before - after, shift.s1 * k + shift.s2 * k * k, atol=1e-9)
+
+
+def test_spin_flipped_sectors_share_a_spectrum():
+    # why spectral_range may skip the sectors with n_beta > n_alpha
+    t = random_spatial(3, np.random.default_rng(6))
+    for na in range(4):
+        for nb in range(na):
+            ab = np.linalg.eigvalsh(_Sector(t, na, nb).dense())
+            ba = np.linalg.eigvalsh(_Sector(t, nb, na).dense())
+            assert np.max(np.abs(ab - ba)) < 1e-10
+
+
+def test_sector_matvec_matches_dense():
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        t = random_spatial(3, rng)
+        for na, nb in ((1, 0), (2, 1), (1, 3), (0, 2), (3, 2)):
+            sec = _Sector(t, na, nb)
+            h = sec.dense()
+            for _ in range(2):
+                v = rng.normal(size=sec.dim)
+                assert np.max(np.abs(sec.matvec(v) - h @ v)) < 1e-10
+
+
+def test_oversized_sectors_fail_before_allocating():
+    t = SpatialTensors(0.0, np.zeros((12, 12)), np.zeros((12,) * 4))
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match=r"n_alpha=6, n_beta=6.*GiB"):
+        spectral_range(t)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("variant", ["raw", "shifted", "residual"])
+@pytest.mark.parametrize("molecule", ["h2", "lih", "beh2", "h2o", "nh3"])
+def test_half_range_recomputed_cold_matches_cache(runner, molecule, variant):
+    # the acceptance tables read dE/2 from the committed cache; this
+    # recomputes it from the tensors that the cached entry was keyed on
+    cached = runner.entry(molecule, variant, "de2")["lambda"]
+    fresh = spectral_range(runner.prepared(molecule, variant).tensors).half_range
+    assert abs(fresh - cached) <= 1e-9 * abs(cached)
