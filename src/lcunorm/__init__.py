@@ -20,7 +20,7 @@ from .fragments import (
     theta_dim,
 )
 from .grouping import AcGroup, AcPartition, group_unitary, lambda_ac, sorted_insertion
-from .optimize import OptimizerConfig, minimize, oo_ac, oo_pauli
+from .optimize import OptimizerConfig, minimize, oo_pauli
 from .pauli import (
     MajoranaPolynomial,
     PauliPolynomial,
@@ -32,7 +32,7 @@ from .pauli import (
     majorana_separate,
     majorana_to_pauli,
 )
-from .picture import PictureSplit, residual_report, split_interaction
+from .picture import PictureSplit, split_interaction
 from .pipeline import METHOD_ORDER, NormReport, emit_table, run_pipeline
 from .spectra import (
     FockOperator,

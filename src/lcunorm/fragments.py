@@ -327,12 +327,18 @@ def lambda_fermionic(mu, frags):
     return l1, l2
 
 
-def _range_over_grid(lam, values, offset):
-    """(max - min)/2 of R^T lam R + offset over R in values^N, batched."""
+def lambda_sqrt_fragment(f):
+    """Spectral half-range cost of one fragment under square-root unitarization.
+
+    The half-range of the pure two-body reflection polynomial
+    (1/4)(sum_ij lam_ij R_i R_j - 2 sum_i lam_ii) over R in {-2,0,2}^N,
+    which is rotation invariant.  The 3^N grid is enumerated in batches.
+    """
+    lam = fragment_lambda_matrix(f)
     n = lam.shape[0]
     if n > 16:
         raise NumericalError(f"configuration enumeration infeasible for N = {n}")
-    vals = np.asarray(values, dtype=float)
+    vals = np.array([-2.0, 0.0, 2.0])
     total = len(vals) ** n
     lo, hi = np.inf, -np.inf
     chunk = 1 << 18
@@ -346,22 +352,8 @@ def _range_over_grid(lam, values, offset):
         q = np.einsum("bi,ij,bj->b", grid, lam, grid)
         lo = min(lo, q.min())
         hi = max(hi, q.max())
-    return 0.5 * ((hi + offset) - (lo + offset))
-
-
-def lambda_sqrt_fragment(f, literal=False):
-    """Spectral half-range cost of one fragment under square-root unitarization.
-
-    Default: half-range of the pure two-body reflection polynomial
-    (1/4)(sum_ij lam_ij R_i R_j - 2 sum_i lam_ii) over R in {-2,0,2}^N,
-    which is rotation invariant.  With literal=True, the half-range of the
-    full occupation polynomial sum_ij lam_ij n_i n_j over n in {0,1,2}^N is
-    returned instead (diagnostic; includes one-body content).
-    """
-    lam = fragment_lambda_matrix(f)
-    if literal:
-        return float(_range_over_grid(lam, (0.0, 1.0, 2.0), 0.0))
-    return float(0.25 * _range_over_grid(lam, (-2.0, 0.0, 2.0), -2.0 * np.trace(lam)))
+    offset = -2.0 * np.trace(lam)
+    return float(0.25 * (0.5 * ((hi + offset) - (lo + offset))))
 
 
 def lambda_complete_square(f):

@@ -6,23 +6,18 @@ import numpy as np
 import scipy.optimize
 
 from .errors import NumericalError
-from .fragments import (
-    _antisymmetric,
-    _expm_antisym,
-    _rotate,
-    make_rotation,
-    rotate_tensors,
-    theta_dim,
-)
-from .grouping import sorted_insertion
-from .pauli import _closed_form, jordan_wigner, lambda_pauli_closed_form
+from .fragments import _antisymmetric, _expm_antisym, _rotate, theta_dim
+from .pauli import _closed_form, lambda_pauli_closed_form
 
-__all__ = ["OptimizerConfig", "minimize", "oo_pauli", "oo_ac"]
+__all__ = ["OptimizerConfig", "minimize", "oo_pauli"]
+
+# Pseudo-Huber widths that oo_pauli searches from every start: the plain
+# exact search, and a smoothed one (see oo_pauli).
+_OO_WIDTHS = (0.0, 1e-2)
 
 
 @dataclass
 class OptimizerConfig:
-    grad_mode: str = "auto"  # analytic when a jacobian is supplied, else central differences
     tol_grad: float = 1e-8
     max_iters: int = 500
     restarts: int = 2
@@ -93,17 +88,16 @@ def _huber(delta):
     return lambda x: np.sqrt(x * x + delta * delta) - delta
 
 
-def oo_pauli(t, cfg=None, smooth=0.0):
+def oo_pauli(t, cfg=None):
     """Minimize the closed-form Pauli 1-norm over orbital rotations.
 
     Starts from theta = 0 plus cfg.restarts seeded perturbations (scale
-    0.05); the best result is kept.  Returns (theta*, lambda at theta*).
-    `smooth` is a pseudo-Huber width, or a sequence of widths that each
-    start searches in turn.  Width 0 searches the exact closed form; a width
-    w > 0 searches the surrogate |x| -> sqrt(x^2 + w^2) - w, which has no
-    kinks for the finite-difference gradient to stall on, and then resumes
-    the exact search from that optimum.  The reported lambda is always the
-    exact one, the lowest over all searches.
+    0.05).  From each start it runs two searches: the exact closed form,
+    and the pseudo-Huber surrogate |x| -> sqrt(x^2 + w^2) - w (w = 1e-2),
+    which has no kinks for the finite-difference gradient to stall on,
+    followed by the exact search from that optimum.  The reported lambda is
+    always the exact one, the lowest over all searches and never above the
+    value at theta = 0.  Returns (theta*, lambda at theta*).
     """
     cfg = cfg or OptimizerConfig()
     n = t.n_orb
@@ -123,7 +117,7 @@ def oo_pauli(t, cfg=None, smooth=0.0):
     starts += [rng.uniform(-0.05, 0.05, size=k) for _ in range(cfg.restarts)]
     best_x, best_f = None, np.inf
     for x0 in starts:
-        for width in np.atleast_1d(smooth):
+        for width in _OO_WIDTHS:
             x = x0 if width == 0.0 else minimize(cost(_huber(width)), x0, cfg)[0]
             x, f, _ = minimize(exact, x, cfg)
             if f < best_f:
@@ -132,17 +126,3 @@ def oo_pauli(t, cfg=None, smooth=0.0):
     if base <= best_f:
         return np.zeros(k), float(base)
     return best_x, float(best_f)
-
-
-def oo_ac(t, cfg=None, smooth=0.0, theta=None):
-    """Anticommuting-group 1-norm at the oo_pauli optimum.
-
-    The rotation is optimized against the closed-form Pauli cost (grouping
-    is not differentiable); the rotated polynomial is then grouped.  Pass
-    `theta` to reuse a precomputed rotation.  Returns (theta, lambda_ac).
-    """
-    if theta is None:
-        theta, _ = oo_pauli(t, cfg, smooth)
-    rt = rotate_tensors(make_rotation(theta), t)
-    part = sorted_insertion(jordan_wigner(rt))
-    return theta, part.one_norm()

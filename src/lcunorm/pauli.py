@@ -293,9 +293,6 @@ class MajoranaPolynomial:
         sign, key = self.canonicalize(ops)
         return sign * self.terms.get(key, 0.0)
 
-    def degree_terms(self, degree):
-        return {k: c for k, c in self.terms.items() if len(k) == degree}
-
 
 def _gamma_word(mode, flavor):
     """JW image of gamma_{mode,flavor}: X (flavor 0) or Y (flavor 1) with Z tail."""

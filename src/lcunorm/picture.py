@@ -24,7 +24,7 @@ from .fragments import (
 )
 from .tensors import SpatialTensors, one_body_adjust
 
-__all__ = ["PictureSplit", "split_interaction", "residual_report"]
+__all__ = ["PictureSplit", "split_interaction"]
 
 
 @dataclass
@@ -111,17 +111,3 @@ def split_interaction(t, cfg=None):
     theta, mu, lam_p = best_x[:nt], best_x[nt : nt + n], best_x[nt + n :]
     h0 = CsaFragment(make_rotation(theta), _unpack_sym(lam_p, n), mu=mu)
     return PictureSplit.of(t, h0)
-
-
-def residual_report(split, methods=None, cfg=None, seed=0):
-    """Norm report for the residual Hamiltonian (no symmetry shift)."""
-    from .pipeline import report_for_tensors
-
-    return report_for_tensors(
-        split.residual,
-        molecule="residual",
-        picture="interaction",
-        methods=methods,
-        cfg=cfg,
-        seed=seed,
-    )

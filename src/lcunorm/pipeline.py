@@ -18,7 +18,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .fragments import (
     csa_greedy,
     double_factorize,
     fragment_lambda_matrix,
+    fragments_from_json,
+    fragments_to_json,
     lambda_complete_square,
     lambda_fermionic,
     lambda_sqrt_fragment,
@@ -36,7 +39,7 @@ from .fragments import (
     rotate_tensors,
 )
 from .grouping import sorted_insertion
-from .optimize import OptimizerConfig, oo_ac, oo_pauli
+from .optimize import OptimizerConfig, oo_pauli
 from .pauli import jordan_wigner, lambda_pauli_closed_form
 from .picture import PictureSplit, split_interaction
 from .spectra import spectral_range
@@ -53,32 +56,17 @@ from .tensors import (
 __all__ = [
     "NormReport",
     "Prepared",
+    "RunConfig",
     "prepare",
     "run_pipeline",
     "emit_table",
     "METHOD_ORDER",
 ]
 
-METHOD_ORDER = ["de2", "pauli", "oo-pauli", "ac", "oo-ac", "df", "gcsa-f", "gcsa-sr"]
-_LABELS = {
-    "de2": "dE/2",
-    "pauli": "Pauli",
-    "oo-pauli": "OO-Pauli",
-    "ac": "AC",
-    "oo-ac": "OO-AC",
-    "df": "DF",
-    "gcsa-f": "GCSA-F",
-    "gcsa-sr": "GCSA-SR",
-}
-
 # Revision of the algorithm behind each cache entry.  Bump an entry when the
 # code that computes it changes, together with every entry read from it, so
 # that results of the older code miss; revision 1 keeps the original key.
 _REVISIONS = {"oo-theta": 2, "oo-pauli": 2, "oo-ac": 2, "de2": 2}
-
-# Pseudo-Huber widths searched from every orbital-optimization start: the
-# plain exact search plus a smoothed candidate (see oo_pauli).
-_OO_WIDTHS = (0.0, 1e-2)
 
 
 @dataclass
@@ -92,28 +80,47 @@ class NormReport:
     version: str
     config: dict
 
-    def to_dict(self):
-        return {
-            "molecule": self.molecule,
-            "picture": self.picture,
-            "shift_applied": self.shift_applied,
-            "s1": self.s1,
-            "s2": self.s2,
-            "methods": self.methods,
-            "version": self.version,
-            "config": self.config,
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The settings every method of one report runs with.
+
+    `echo()` is the report's `config` block, and its hash is part of every
+    cache key, so two runs share cache entries exactly when they echo the
+    same settings.
+    """
+
+    seed: int = 0
+    csa_tol: float = 1e-6
+    df_tol: float = 1e-12
+    count_cutoff: float = 1e-6
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+
+    def echo(self):
+        opt = self.optimizer
+        echo = {
+            "seed": self.seed,
+            "csa_tol": self.csa_tol,
+            "df_tol": self.df_tol,
+            "count_cutoff": self.count_cutoff,
+            "tol_grad": opt.tol_grad,
+            "max_iters": opt.max_iters,
+            "restarts": opt.restarts,
         }
-
-
-def _log2_ceil(m):
-    return int(math.ceil(math.log2(m))) if m >= 2 else 0
+        # echoed only when they differ from their default, so default keys stay put
+        if opt.fd_step is not None:
+            echo["fd_step"] = opt.fd_step
+        if opt.seed != self.seed:
+            echo["optimizer_seed"] = opt.seed
+        return echo
 
 
 def _entry(value, count):
+    count = int(count)
     return {
         "lambda": float(value),
-        "unitary_count": int(count),
-        "log2_ceil": _log2_ceil(int(count)),
+        "unitary_count": count,
+        "log2_ceil": int(math.ceil(math.log2(count))) if count >= 2 else 0,
     }
 
 
@@ -126,178 +133,143 @@ def _tensor_key(t):
 
 
 class _Cache:
-    def __init__(self, directory):
+    """Disk entries of one tensor set under one run config.
+
+    The directory defaults to $LCUNORM_CACHE_DIR; with neither, every
+    entry is computed and nothing is stored.
+    """
+
+    def __init__(self, directory, t, config):
+        if directory is None:
+            directory = os.environ.get("LCUNORM_CACHE_DIR")
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
+        digest = hashlib.sha256(json.dumps(config.echo(), sort_keys=True).encode())
+        self.prefix = f"{_tensor_key(t)}-{digest.hexdigest()[:12]}"
 
-    def _path(self, key):
-        return os.path.join(self.directory, key + ".json")
-
-    def get(self, key):
-        if not self.directory:
-            return None
-        try:
-            with open(self._path(key)) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
-
-    def put(self, key, doc):
-        if not self.directory:
-            return
-        tmp = self._path(key) + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, self._path(key))
-
-
-class _MethodEngine:
-    """Computes method entries for one tensor set with shared intermediates."""
-
-    def __init__(self, t, seed, csa_tol, df_tol, count_cutoff, cfg, cache, base_key):
-        self.t = t
-        self.seed = seed
-        self.csa_tol = csa_tol
-        self.df_tol = df_tol
-        self.cutoff = count_cutoff
-        self.cfg = cfg
-        self.cache = cache
-        self.base_key = base_key
-        self._memo = {}
-
-    def _key(self, name):
-        key = f"{self.base_key}-{name}"
+    def key(self, name):
+        key = f"{self.prefix}-{name}"
         revision = _REVISIONS.get(name, 1)
         return key if revision == 1 else f"{key}-r{revision}"
 
-    def _cached(self, name, compute):
-        key = self._key(name)
-        doc = self.cache.get(key)
-        if doc is None:
-            doc = compute()
-            self.cache.put(key, doc)
+    def fetch(self, name, compute):
+        """The stored entry `name`, or compute() stored under its key."""
+        if not self.directory:
+            return compute()
+        path = os.path.join(self.directory, self.key(name) + ".json")
+        try:
+            with open(path) as fh:
+                return json.load(fh)
+        except (OSError, ValueError):
+            pass
+        doc = compute()
+        with open(path + ".tmp", "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        os.replace(path + ".tmp", path)
         return doc
 
-    def _jw(self, t):
-        return jordan_wigner(t)
 
-    def _poly(self):
-        if "poly" not in self._memo:
-            self._memo["poly"] = self._jw(self.t)
-        return self._memo["poly"]
+class _MethodEngine:
+    """Computes method entries for one tensor set with shared intermediates.
 
-    def _pauli_count(self, poly):
-        return sum(1 for _, c in poly.raw_items() if abs(c) > self.cutoff) - (
-            1 if abs(poly.identity_coefficient) > self.cutoff else 0
+    The compute functions in _METHODS are methods of this class that look
+    their layer functions up in this module's namespace when called, so a
+    function replaced there (by a test or a tracer) is the one that runs.
+    """
+
+    def __init__(self, t, config, cache_dir=None):
+        self.t = t
+        self.config = config
+        self.cache = _Cache(cache_dir, t, config)
+        self._frames = {}
+
+    def entry(self, method):
+        return self.cache.fetch(method, partial(_METHODS[method][1], self))
+
+    @cached_property
+    def oo_theta(self):
+        """Orbital rotation angles that minimize the closed-form Pauli 1-norm."""
+        doc = self.cache.fetch(
+            "oo-theta",
+            lambda: {"theta": list(oo_pauli(self.t, self.config.optimizer)[0])},
         )
+        return np.asarray(doc["theta"])
 
-    def _oo_theta(self):
-        if "oo" not in self._memo:
-            doc = self._cached(
-                "oo-theta",
-                lambda: {
-                    "theta": list(oo_pauli(self.t, self.cfg, smooth=_OO_WIDTHS)[0])
-                },
-            )
-            self._memo["oo"] = np.asarray(doc["theta"])
-        return self._memo["oo"]
+    @cached_property
+    def gcsa_fragments(self):
+        c = self.config
+        doc = self.cache.fetch(
+            "gcsa-frags",
+            lambda: {
+                "frags": fragments_to_json(
+                    csa_greedy(self.t, stop_tol=c.csa_tol, seed=c.seed, restarts=3)
+                )
+            },
+        )
+        return fragments_from_json(doc["frags"])
 
-    def _oo_frame(self):
-        """The tensors rotated to the optimized orbitals, and their JW polynomial."""
-        if "oo-frame" not in self._memo:
-            rotated = rotate_tensors(make_rotation(self._oo_theta()), self.t)
-            self._memo["oo-frame"] = (rotated, self._jw(rotated))
-        return self._memo["oo-frame"]
-
-    def _gcsa(self):
-        if "gcsa" not in self._memo:
-            from .fragments import fragments_from_json, fragments_to_json
-
-            doc = self._cached(
-                "gcsa-frags",
-                lambda: {
-                    "frags": fragments_to_json(
-                        csa_greedy(
-                            self.t, stop_tol=self.csa_tol, seed=self.seed, restarts=3
-                        )
-                    )
-                },
-            )
-            self._memo["gcsa"] = fragments_from_json(doc["frags"])
-        return self._memo["gcsa"]
+    def frame(self, optimized):
+        """(tensors, JW polynomial) in the input or the OO-optimal orbitals."""
+        if optimized not in self._frames:
+            t = self.t
+            if optimized:
+                t = rotate_tensors(make_rotation(self.oo_theta), t)
+            self._frames[optimized] = (t, jordan_wigner(t))
+        return self._frames[optimized]
 
     def _mu(self):
         return np.linalg.eigvalsh(one_body_adjust(self.t))
 
-    def compute(self, method):
-        return self._cached(method, lambda: self._compute(method))
+    def _de2(self):
+        return _entry(spectral_range(self.t).half_range, 2)
 
-    def _compute(self, method):
-        t = self.t
-        if method == "de2":
-            sr = spectral_range(t)
-            return _entry(sr.half_range, 2)
-        if method == "pauli":
-            poly = self._poly()
-            return _entry(lambda_pauli_closed_form(t), self._pauli_count(poly))
-        if method == "oo-pauli":
-            rotated, poly = self._oo_frame()
-            return _entry(lambda_pauli_closed_form(rotated), self._pauli_count(poly))
-        if method == "ac":
-            part = sorted_insertion(self._poly())
-            count = sum(1 for g in part.groups if g.norm > self.cutoff)
-            return _entry(part.one_norm(), count)
-        if method == "oo-ac":
-            part = sorted_insertion(self._oo_frame()[1])
-            count = sum(1 for g in part.groups if g.norm > self.cutoff)
-            return _entry(part.one_norm(), count)
-        if method == "df":
-            frags = double_factorize(t, tol=self.df_tol)
-            l1 = float(np.abs(self._mu()).sum())
-            costs = [lambda_complete_square(f) for f in frags]
-            kept = sum(1 for c in costs if c > self.cutoff)
-            return _entry(l1 + sum(costs), kept + 1)
-        if method == "gcsa-f":
-            frags = self._gcsa()
-            l1, l2 = lambda_fermionic(self._mu(), frags)
-            count = sum(
-                reflection_term_count(fragment_lambda_matrix(f), self.cutoff)
-                for f in frags
-            ) + 2 * t.n_orb
-            return _entry(l1 + l2, count)
-        if method == "gcsa-sr":
-            frags = self._gcsa()
-            l1 = float(np.abs(self._mu()).sum())
-            total = l1 + sum(lambda_sqrt_fragment(f) for f in frags)
-            return _entry(total, 2 * len(frags) + 1)
-        raise ValueError(f"unknown method {method!r}")
+    def _pauli(self, optimized):
+        t, poly = self.frame(optimized)
+        cutoff = self.config.count_cutoff
+        count = sum(1 for k, c in poly.raw_items() if k != (0, 0) and abs(c) > cutoff)
+        return _entry(lambda_pauli_closed_form(t), count)
+
+    def _ac(self, optimized):
+        part = sorted_insertion(self.frame(optimized)[1])
+        count = sum(1 for g in part.groups if g.norm > self.config.count_cutoff)
+        return _entry(part.one_norm(), count)
+
+    def _df(self):
+        frags = double_factorize(self.t, tol=self.config.df_tol)
+        l1 = float(np.abs(self._mu()).sum())
+        costs = [lambda_complete_square(f) for f in frags]
+        kept = sum(1 for c in costs if c > self.config.count_cutoff)
+        return _entry(l1 + sum(costs), kept + 1)
+
+    def _gcsa_f(self):
+        frags = self.gcsa_fragments
+        l1, l2 = lambda_fermionic(self._mu(), frags)
+        count = sum(
+            reflection_term_count(fragment_lambda_matrix(f), self.config.count_cutoff)
+            for f in frags
+        ) + 2 * self.t.n_orb
+        return _entry(l1 + l2, count)
+
+    def _gcsa_sr(self):
+        frags = self.gcsa_fragments
+        l1 = float(np.abs(self._mu()).sum())
+        total = l1 + sum(lambda_sqrt_fragment(f) for f in frags)
+        return _entry(total, 2 * len(frags) + 1)
 
 
-def _engine_for(
-    t, seed=0, csa_tol=1e-6, df_tol=1e-12, count_cutoff=1e-6, cfg=None, cache_dir=None
-):
-    if cfg is None:
-        cfg = OptimizerConfig(seed=seed)
-    if cache_dir is None:
-        cache_dir = os.environ.get("LCUNORM_CACHE_DIR")
-    config = _config_echo(seed, csa_tol, df_tol, count_cutoff, cfg)
-    base_key = _tensor_key(t) + "-" + hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()
-    ).hexdigest()[:12]
-    engine = _MethodEngine(
-        t, seed, csa_tol, df_tol, count_cutoff, cfg, _Cache(cache_dir), base_key
-    )
-    return engine, config
-
-
-def _normalize_methods(methods):
-    if methods is None:
-        return list(METHOD_ORDER)
-    bad = [m for m in methods if m not in METHOD_ORDER]
-    if bad:
-        raise ValueError(f"unknown method(s): {', '.join(sorted(bad))}")
-    return [m for m in METHOD_ORDER if m in set(methods)]
+# method -> (column label, compute(engine) -> entry), in report and column order
+_METHODS = {
+    "de2": ("dE/2", _MethodEngine._de2),
+    "pauli": ("Pauli", partial(_MethodEngine._pauli, optimized=False)),
+    "oo-pauli": ("OO-Pauli", partial(_MethodEngine._pauli, optimized=True)),
+    "ac": ("AC", partial(_MethodEngine._ac, optimized=False)),
+    "oo-ac": ("OO-AC", partial(_MethodEngine._ac, optimized=True)),
+    "df": ("DF", _MethodEngine._df),
+    "gcsa-f": ("GCSA-F", _MethodEngine._gcsa_f),
+    "gcsa-sr": ("GCSA-SR", _MethodEngine._gcsa_sr),
+}
+METHOD_ORDER = list(_METHODS)
 
 
 def _resolve_source(source):
@@ -312,21 +284,6 @@ def _resolve_source(source):
     raise FileNotFoundError(f"no such file or fixture: {name}")
 
 
-def _config_echo(seed, csa_tol, df_tol, count_cutoff, cfg):
-    echo = {
-        "seed": seed,
-        "csa_tol": csa_tol,
-        "df_tol": df_tol,
-        "count_cutoff": count_cutoff,
-        "tol_grad": cfg.tol_grad,
-        "max_iters": cfg.max_iters,
-        "restarts": cfg.restarts,
-    }
-    if cfg.fd_step is not None:  # echoed only when set, so default keys stay put
-        echo["fd_step"] = cfg.fd_step
-    return echo
-
-
 def report_for_tensors(
     t,
     molecule,
@@ -335,21 +292,19 @@ def report_for_tensors(
     shift_applied=False,
     s1=0.0,
     s2=0.0,
-    seed=0,
-    csa_tol=1e-6,
-    df_tol=1e-12,
-    count_cutoff=1e-6,
-    cfg=None,
+    config=None,
     cache_dir=None,
 ):
     """Build a NormReport for tensors that are already shifted/split."""
     from . import __version__
 
-    methods = _normalize_methods(methods)
-    engine, config = _engine_for(
-        t, seed, csa_tol, df_tol, count_cutoff, cfg, cache_dir
-    )
-    entries = {m: engine.compute(m) for m in methods}
+    config = config or RunConfig()
+    wanted = METHOD_ORDER if methods is None else set(methods)
+    unknown = set(wanted) - _METHODS.keys()
+    if unknown:
+        raise ValueError(f"unknown method(s): {', '.join(sorted(unknown))}")
+    engine = _MethodEngine(t, config, cache_dir)
+    entries = {m: engine.entry(m) for m in METHOD_ORDER if m in wanted}
     if "de2" in entries:
         floor = entries["de2"]["lambda"] - 1e-9
         for m, e in entries.items():
@@ -359,35 +314,21 @@ def report_for_tensors(
                     f"spectral lower bound {floor + 1e-9:.12g}"
                 )
     return NormReport(
-        molecule=molecule,
-        picture=picture,
-        shift_applied=shift_applied,
-        s1=s1,
-        s2=s2,
-        methods=entries,
-        version=__version__,
-        config=config,
+        molecule, picture, shift_applied, s1, s2, entries, __version__, config.echo()
     )
 
 
-def _cached_split(t, seed, csa_tol, df_tol, count_cutoff, cfg, cache_dir):
+def _cached_split(t, config, cache_dir):
     """Mean-field split of the tensors, disk-cached on the pre-split tensors."""
-    engine, _ = _engine_for(t, seed, csa_tol, df_tol, count_cutoff, cfg, cache_dir)
 
     def compute():
-        split = split_interaction(t, cfg)
-        return {
-            "theta": list(split.h0.rotation.theta),
-            "mu": list(split.h0.mu),
-            "lam": [list(row) for row in split.h0.lam],
-        }
+        h0 = split_interaction(t, config.optimizer).h0
+        lam = [list(row) for row in h0.lam]
+        return {"theta": list(h0.rotation.theta), "mu": list(h0.mu), "lam": lam}
 
-    doc = engine._cached("split", compute)
-    h0 = CsaFragment(
-        make_rotation(np.asarray(doc["theta"])),
-        np.asarray(doc["lam"]),
-        mu=np.asarray(doc["mu"]),
-    )
+    doc = _Cache(cache_dir, t, config).fetch("split", compute)
+    rotation = make_rotation(np.asarray(doc["theta"]))
+    h0 = CsaFragment(rotation, np.asarray(doc["lam"]), mu=np.asarray(doc["mu"]))
     return PictureSplit.of(t, h0)
 
 
@@ -395,14 +336,14 @@ def _cached_split(t, seed, csa_tol, df_tol, count_cutoff, cfg, cache_dir):
 class Prepared:
     """What a pipeline run decomposes: the tensors after the requested shift
     or mean-field split, the shift coefficients, the split itself (interaction
-    picture only) and the optimizer configuration the methods run with."""
+    picture only) and the settings the methods run with."""
 
     molecule: str
     tensors: SpatialTensors
     s1: float
     s2: float
     split: PictureSplit | None
-    cfg: OptimizerConfig | None
+    config: RunConfig
 
 
 def prepare(
@@ -421,6 +362,11 @@ def prepare(
         raise ValueError(f"unknown picture {picture!r}")
     if picture == "interaction" and shift:
         raise ValueError("the interaction picture does not take a symmetry shift")
+    if cfg is None:
+        cfg = OptimizerConfig(seed=seed)
+        if picture == "interaction":
+            cfg = OptimizerConfig(tol_grad=1e-8, max_iters=2000, seed=seed)
+    config = RunConfig(seed, csa_tol, df_tol, count_cutoff, cfg)
     molecule, t = _resolve_source(source)
     s1 = s2 = 0.0
     split = None
@@ -428,11 +374,9 @@ def prepare(
         shift_obj, t = optimize_shift(t)
         s1, s2 = shift_obj.s1, shift_obj.s2
     if picture == "interaction":
-        if cfg is None:
-            cfg = OptimizerConfig(tol_grad=1e-8, max_iters=2000, seed=seed)
-        split = _cached_split(t, seed, csa_tol, df_tol, count_cutoff, cfg, cache_dir)
+        split = _cached_split(t, config, cache_dir)
         t = split.residual
-    return Prepared(molecule, t, s1, s2, split, cfg)
+    return Prepared(molecule, t, s1, s2, split, config)
 
 
 def run_pipeline(
@@ -452,24 +396,8 @@ def run_pipeline(
         source, shift, picture, seed, csa_tol, df_tol, count_cutoff, cfg, cache_dir
     )
     return report_for_tensors(
-        p.tensors,
-        molecule=p.molecule,
-        picture=picture,
-        methods=methods,
-        shift_applied=shift,
-        s1=p.s1,
-        s2=p.s2,
-        seed=seed,
-        csa_tol=csa_tol,
-        df_tol=df_tol,
-        count_cutoff=count_cutoff,
-        cfg=p.cfg,
-        cache_dir=cache_dir,
+        p.tensors, p.molecule, picture, methods, shift, p.s1, p.s2, p.config, cache_dir
     )
-
-
-def _fmt(value):
-    return f"{value:.3g}"
 
 
 def emit_table(reports, fmt="text"):
@@ -477,17 +405,18 @@ def emit_table(reports, fmt="text"):
     if not reports:
         raise ValueError("no reports to emit")
     if fmt == "json":
-        doc = {"reports": [r.to_dict() for r in reports]}
+        # the fields as they are; asdict would deep-copy every value first
+        doc = {"reports": [vars(r) for r in reports]}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     methods = [m for m in METHOD_ORDER if any(m in r.methods for r in reports)]
-    header = ["molecule", "shift", "picture"] + [_LABELS[m] for m in methods]
+    header = ["molecule", "shift", "picture"] + [_METHODS[m][0] for m in methods]
     rows = []
     for r in reports:
         row = [r.molecule, "yes" if r.shift_applied else "no", r.picture]
         for m in methods:
             if m in r.methods:
                 e = r.methods[m]
-                row.append(f"{_fmt(e['lambda'])} ({e['log2_ceil']})")
+                row.append(f"{e['lambda']:.3g} ({e['log2_ceil']})")
             else:
                 row.append("-")
         rows.append(row)

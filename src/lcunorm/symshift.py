@@ -128,12 +128,7 @@ def shift_two_body(t, method="auto"):
     """Optimal s2 for the Ne^2 shift and the two-body-shifted tensors."""
     s_vec, _ = solve_l1(_two_body_problem(t), method=method)
     s2 = float(s_vec[0])
-    n = t.n_orb
-    tbt = t.tbt.copy()
-    for i in range(n):
-        for j in range(n):
-            tbt[i, i, j, j] -= s2
-    return t.replace(tbt=tbt), s2
+    return apply_shift(t, SymmetryShift(0.0, s2)), s2
 
 
 def shift_one_body(t_shifted):

@@ -55,10 +55,10 @@ class PipelineRunner:
 
     def engine(self, molecule, variant):
         """Method engine that serves the report's cached intermediates."""
-        from lcunorm.pipeline import _engine_for
+        from lcunorm.pipeline import _MethodEngine
 
         p = self.prepared(molecule, variant)
-        return _engine_for(p.tensors, cfg=p.cfg, cache_dir=CACHE_DIR)[0]
+        return _MethodEngine(p.tensors, p.config, CACHE_DIR)
 
 
 @pytest.fixture(scope="session")

@@ -51,7 +51,7 @@ from lcunorm.pauli import (
     majorana_to_pauli,
 )
 from lcunorm.picture import _split_cost_grad
-from lcunorm.pipeline import _engine_for, prepare, run_pipeline
+from lcunorm.pipeline import _METHODS, RunConfig, _MethodEngine, prepare, run_pipeline
 from lcunorm.spectra import minimal_lcu, spectral_range
 from lcunorm.symshift import L1Problem, SymmetryShift, apply_shift, solve_l1
 from lcunorm.tensors import (
@@ -305,7 +305,7 @@ def test_c5_df_reconstruction_on_fixtures(molecule):
 def test_c5_csa_residual_on_fixtures(runner, molecule):
     for variant in VARIANTS:
         t = runner.prepared(molecule, variant).tensors
-        frags = runner.engine(molecule, variant)._gcsa()
+        frags = runner.engine(molecule, variant).gcsa_fragments
         _certify_gcsa(t, frags, runner.report(molecule, variant).methods)
 
 
@@ -351,9 +351,9 @@ def test_c6_one_body_norm_identical_under_both_costings():
     rng = np.random.default_rng(24)
     obt = rng.normal(size=(3, 3))
     t = SpatialTensors(0.0, 0.5 * (obt + obt.T), np.zeros((3, 3, 3, 3)))
-    engine, _ = _engine_for(t)
-    f = engine.compute("gcsa-f")["lambda"]
-    sr = engine.compute("gcsa-sr")["lambda"]
+    engine = _MethodEngine(t, RunConfig())
+    f = engine.entry("gcsa-f")["lambda"]
+    sr = engine.entry("gcsa-sr")["lambda"]
     mu = np.linalg.eigvalsh(one_body_adjust(t))
     assert f == sr == float(np.abs(mu).sum())
 
@@ -510,8 +510,11 @@ def test_c9_ac_cells_are_certified(runner, molecule, variant):
 @pytest.mark.parametrize("molecule", MOLECULES)
 def test_c9_oo_cells_are_certified(runner, molecule, variant):
     t = runner.prepared(molecule, variant).tensors
-    theta = runner.engine(molecule, variant)._oo_theta()
-    _certify_oo(t, theta, runner.report(molecule, variant).methods)
+    theta = runner.engine(molecule, variant).oo_theta
+    methods = runner.report(molecule, variant).methods
+    _certify_oo(t, theta, methods)
+    # grouping the rotated polynomial never costs more than its single terms
+    assert methods["oo-ac"]["lambda"] <= methods["oo-pauli"]["lambda"] + 1e-10
 
 
 @pytest.mark.parametrize("molecule", MOLECULES)
@@ -531,8 +534,8 @@ def test_c9_certificates_reject_a_lowered_cache_entry(tmp_path, variant, method)
     kwargs = {"picture": "interaction"} if variant == "residual" else {}
     run_pipeline("h2", cache_dir=d, **kwargs)
     p = prepare("h2", cache_dir=d, **kwargs)
-    engine, _ = _engine_for(p.tensors, cfg=p.cfg, cache_dir=d)
-    path = os.path.join(d, engine._key(method) + ".json")
+    engine = _MethodEngine(p.tensors, p.config, d)
+    path = os.path.join(d, engine.cache.key(method) + ".json")
     with open(path) as fh:
         doc = json.load(fh)
     doc["lambda"] *= 0.9
@@ -545,11 +548,29 @@ def test_c9_certificates_reject_a_lowered_cache_entry(tmp_path, variant, method)
         if method == "ac":
             _certify_partition(jordan_wigner(p.tensors), methods["ac"], "ac")
         elif method.startswith("oo-"):
-            _certify_oo(p.tensors, engine._oo_theta(), methods)
+            _certify_oo(p.tensors, engine.oo_theta, methods)
         elif method.startswith("gcsa-"):
-            _certify_gcsa(p.tensors, engine._gcsa(), methods)
+            _certify_gcsa(p.tensors, engine.gcsa_fragments, methods)
         else:
             _certify_residual(chemist("h2"), p.split, methods)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("molecule", MOLECULES)
+def test_entries_recomputed_from_intermediates_match_cache(runner, molecule, variant):
+    # The tables read every entry from the cache.  This reruns each method
+    # but dE/2 (see test_half_range_recomputed_cold_matches_cache) on the
+    # tensors and the cached intermediates (orbital rotation, CSA fragments,
+    # split), so only the entry itself is bypassed.
+    engine = runner.engine(molecule, variant)
+    cached = runner.report(molecule, variant).methods
+    for method in METHODS[1:]:
+        fresh = _METHODS[method][1](engine)
+        want = cached[method]
+        assert fresh["unitary_count"] == want["unitary_count"], method
+        assert abs(fresh["lambda"] - want["lambda"]) <= 1e-12 * abs(want["lambda"]), (
+            f"{method}: cached {want['lambda']!r}, recomputed {fresh['lambda']!r}"
+        )
 
 
 # ---- count sanity (not value-gated): term and group tallies ----------------

@@ -225,18 +225,6 @@ def test_sqrt_rotation_invariant():
     assert abs(lambda_sqrt_fragment(a) - lambda_sqrt_fragment(b)) < 1e-12
 
 
-def test_sqrt_literal_diagnostic_differs():
-    lam = np.array([[1.0, 0.2], [0.2, -0.5]])
-    f = _diag_fragment(lam, 2)
-    lit = lambda_sqrt_fragment(f, literal=True)
-    occ = []
-    for a in (0, 1, 2):
-        for b in (0, 1, 2):
-            r = np.array([a, b], dtype=float)
-            occ.append(r @ lam @ r)
-    assert abs(lit - 0.5 * (max(occ) - min(occ))) < 1e-12
-
-
 def test_one_body_norm_shared_code_path():
     # the square-root route reuses lambda_fermionic's first component verbatim
     rng = np.random.default_rng(41)

@@ -9,7 +9,8 @@ from lcunorm.fragments import (
     theta_dim,
 )
 from lcunorm.optimize import OptimizerConfig
-from lcunorm.picture import _split_cost_grad, residual_report, split_interaction
+from lcunorm.picture import _split_cost_grad, split_interaction
+from lcunorm.pipeline import report_for_tensors
 from lcunorm.tensors import SpatialTensors, load_fixture, to_chemist
 
 from oracles import random_spatial
@@ -83,7 +84,9 @@ def test_one_body_only_input_is_fully_absorbed():
 
 def test_h2_residual_norms():
     split = split_interaction(chemist("h2"))
-    report = residual_report(split, methods=["de2", "pauli"])
+    report = report_for_tensors(
+        split.residual, "residual", "interaction", methods=["de2", "pauli"]
+    )
     assert report.picture == "interaction"
     assert abs(report.methods["pauli"]["lambda"] - 0.2952) < 5e-4
     assert abs(report.methods["de2"]["lambda"] - 0.1968) < 5e-4

@@ -181,12 +181,17 @@ def test_revision_bump_misses_only_that_method(tmp_path, monkeypatch, method):
     assert len(set(os.listdir(d)) - before) == 1
 
 
-def test_fd_step_is_part_of_the_cache_key(tmp_path):
+@pytest.mark.parametrize(
+    "setting, echoed, value",
+    [("fd_step", "fd_step", 0.3), ("seed", "optimizer_seed", 7)],
+    ids=["fd_step", "seed"],
+)
+def test_optimizer_setting_is_part_of_the_cache_key(tmp_path, setting, echoed, value):
     from lcunorm.optimize import OptimizerConfig
 
     d = str(tmp_path)
     default = run_pipeline("h2", methods=["oo-pauli"], cache_dir=d)
-    assert "fd_step" not in default.config
+    assert echoed not in default.config
     # poison the cached entries: a hit returns the poison, a miss recomputes
     for f in os.listdir(d):
         path = os.path.join(d, f)
@@ -200,9 +205,38 @@ def test_fd_step_is_part_of_the_cache_key(tmp_path):
     assert run_pipeline("h2", methods=["oo-pauli"], cache_dir=d).methods[
         "oo-pauli"
     ]["lambda"] == 123.0
-    stepped = run_pipeline(
-        "h2", methods=["oo-pauli"], cfg=OptimizerConfig(fd_step=0.3), cache_dir=d
-    )
-    assert stepped.config["fd_step"] == 0.3
-    assert stepped.methods["oo-pauli"]["lambda"] != 123.0
+    cfg = OptimizerConfig(**{setting: value})
+    changed = run_pipeline("h2", methods=["oo-pauli"], cfg=cfg, cache_dir=d)
+    assert changed.config[echoed] == value
+    assert changed.methods["oo-pauli"]["lambda"] != 123.0
     assert set(os.listdir(d)) - before
+
+
+def test_benchmark_tracer_records_every_layer(tmp_path, monkeypatch):
+    # perfbench/spans.py records a layer by replacing its function in
+    # lcunorm.pipeline's namespace; a layer function bound at import time
+    # would silently drop out of the per-layer metrics
+    import lcunorm.pipeline as pl
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    monkeypatch.syspath_prepend(os.path.join(here, os.pardir, "perfbench"))
+    import spans
+
+    source, d = str(fixture_path("h2")), str(tmp_path)
+    variants = [{}, {"shift": True}, {"picture": "interaction"}]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        roots = []
+        for name in ("cold", "warm"):
+            with tracer.root(name) as root:
+                for kwargs in variants:
+                    report = pl.run_pipeline(source, cache_dir=d, **kwargs)
+                    pl.emit_table([report], fmt="json")
+            roots.append(root["id"])
+    finally:
+        tracer.remove()
+    below = spans.below_roots(tracer.spans)
+    cold = {tracer.spans[i]["name"] for i in below[roots[0]]}
+    assert set(spans.LAYERS) - cold == set()
+    assert spans.compute_calls(tracer.spans, below[roots[1]]) == 0
