@@ -19,18 +19,15 @@ from .fragments import (
     rotate_tensors,
     theta_dim,
 )
-from .grouping import AcGroup, AcPartition, group_unitary, lambda_ac, sorted_insertion
+from .grouping import AcGroup, AcPartition, sorted_insertion
 from .optimize import OptimizerConfig, minimize, oo_pauli
 from .pauli import (
-    MajoranaPolynomial,
     PauliPolynomial,
     PauliWord,
     anticommutes,
     jordan_wigner,
     lambda_pauli,
     lambda_pauli_closed_form,
-    majorana_separate,
-    majorana_to_pauli,
 )
 from .picture import PictureSplit, split_interaction
 from .pipeline import METHOD_ORDER, NormReport, emit_table, run_pipeline
@@ -38,7 +35,6 @@ from .spectra import (
     FockOperator,
     SpectralRange,
     minimal_lcu,
-    sector_spectrum,
     spectral_range,
 )
 from .symshift import (
@@ -55,8 +51,6 @@ from .tensors import (
     FIXTURE_NAMES,
     FcidumpRecord,
     SpatialTensors,
-    SpinTensor2e,
-    absorb_one_body,
     fixture_path,
     load_fcidump,
     load_fixture,

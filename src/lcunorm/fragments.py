@@ -235,40 +235,59 @@ def _unpack_sym(p, n):
     return lam
 
 
-def _csa_cost_grad(x, target, n, want_grad=True):
-    """Squared Frobenius distance between target tensor and one CSA fragment."""
+def _fit_params(x, n, with_mu):
+    """(theta, mu, lam) of a fit vector; mu is None when the fit has no one-body part."""
     nt = theta_dim(n)
-    theta, lam_p = x[:nt], x[nt:]
+    if not with_mu:
+        return x[:nt], None, _unpack_sym(x[nt:], n)
+    return x[:nt], x[nt : nt + n], _unpack_sym(x[nt + n :], n)
+
+
+def _fragment_fit(x, tbt, obt=None):
+    """Squared Frobenius misfit of one orbital-rotated fragment, and its gradient.
+
+    x holds (theta, lam), or (theta, mu, lam) when obt is given: the fragment
+    is the two-body tensor sum_ab u_ia u_ja u_kb u_lb lam_ab, plus the
+    one-body matrix u diag(mu) u^T fitted jointly to obt.  lam is stored
+    packed (lower triangle).  Greedy CSA fits the two-body residual; the
+    interaction-picture split fits both tensors.
+    """
+    n = tbt.shape[0]
+    theta, mu, lam = _fit_params(x, n, obt is not None)
     a = _antisymmetric(theta, n)
     u = _expm_antisym(a)
-    lam = _unpack_sym(lam_p, n)
     w = np.einsum("ia,ja->ija", u, u).reshape(n * n, n)
-    f = w @ lam @ w.T
-    diff = f - target.reshape(n * n, n * n)
-    cost = float((diff * diff).sum())
-    if not want_grad:
-        return cost
+    diff = w @ lam @ w.T - tbt.reshape(n * n, n * n)
+    cost = (diff * diff).sum()
     d = 2.0 * diff
     # lam gradient: W^T D W, folded onto the packed symmetric storage
-    dlam = w.T @ d @ w
     rows, cols = np.tril_indices(n)
-    glam = np.where(rows == cols, 1.0, 2.0) * dlam[rows, cols]
+    glam = np.where(rows == cols, 1.0, 2.0) * (w.T @ d @ w)[rows, cols]
     # u gradient: 4 einsum('ija,ja->ia') of (D W lam) against u
     m = (d @ w @ lam).reshape(n, n, n)
     gu = 4.0 * np.einsum("ija,ja->ia", m, u)
+    gmu = np.zeros(0)
+    if obt is not None:
+        da = (u * mu) @ u.T - obt
+        cost = (da * da).sum() + cost
+        gmu = 2.0 * np.einsum("ia,ij,ja->a", u, da, u)
+        gu = gu + 4.0 * da @ (u * mu)
     # theta chain rule through the exponential (Frechet adjoint)
     z = scipy.linalg.expm_frechet(a.T, gu, compute_expm=False)
     r2, c2 = np.tril_indices(n, -1)
     gtheta = z[r2, c2] - z[c2, r2]
-    return cost, np.concatenate([gtheta, glam])
+    return float(cost), np.concatenate([gtheta, gmu, glam])
 
 
-def csa_greedy(t, stop_tol=1e-6, max_frags=None, seed=0, restarts=3):
+_CSA_RESTARTS = 3  # fresh starts per fragment before CSA declares stagnation
+
+
+def csa_greedy(t, stop_tol=1e-6, max_frags=None, seed=0):
     """Greedy CSA: repeatedly fit one fragment to the two-electron residual.
 
     Each fit minimizes the squared Frobenius norm of (residual - fragment)
-    starting from small random (theta, lam); up to `restarts` fresh starts
-    are tried before declaring stagnation.  Stops when the residual
+    starting from small random (theta, lam); up to _CSA_RESTARTS fresh
+    starts are tried before declaring stagnation.  Stops when the residual
     Frobenius norm falls to stop_tol or max_frags is reached.
     """
     from .optimize import OptimizerConfig, minimize
@@ -276,10 +295,9 @@ def csa_greedy(t, stop_tol=1e-6, max_frags=None, seed=0, restarts=3):
     if stop_tol <= 0:
         raise ValueError("stop_tol must be positive")
     n = t.n_orb
-    nt = theta_dim(n)
     rng = np.random.default_rng(seed)
     target = t.tbt.copy()
-    dim = nt + _pack_dim(n)
+    dim = theta_dim(n) + _pack_dim(n)
     cfg = OptimizerConfig(tol_grad=1e-9, max_iters=2000)
     cap = max_frags if max_frags is not None else 50 * n
     frags = []
@@ -291,10 +309,9 @@ def csa_greedy(t, stop_tol=1e-6, max_frags=None, seed=0, restarts=3):
         # linear in the fragment tensor, so scaling back afterwards is exact
         scaled = target / rnorm
         best_x, best_f = None, 1.0
-        for _ in range(restarts):
+        for _ in range(_CSA_RESTARTS):
             x0 = rng.uniform(-0.01, 0.01, size=dim)
-            fg = lambda x: _csa_cost_grad(x, scaled, n)
-            x, fval, _ = minimize(fg, x0, cfg, jac=True)
+            x, fval, _ = minimize(lambda y: _fragment_fit(y, scaled), x0, cfg, jac=True)
             if fval < best_f:
                 best_x, best_f = x, fval
             if best_f < 0.5:
@@ -304,7 +321,8 @@ def csa_greedy(t, stop_tol=1e-6, max_frags=None, seed=0, restarts=3):
                 f"CSA stagnated at fragment {len(frags)}: residual {rnorm:.3e}",
                 payload={"residual": rnorm, "n_fragments": len(frags)},
             )
-        frag = CsaFragment(make_rotation(best_x[:nt]), rnorm * _unpack_sym(best_x[nt:], n))
+        theta, _, lam = _fit_params(best_x, n, with_mu=False)
+        frag = CsaFragment(make_rotation(theta), rnorm * lam)
         target -= fragment_tensor(frag)
         frags.append(frag)
     if max_frags is None and len(frags) >= cap:

@@ -4,17 +4,16 @@ Groups are formed by sorted insertion: terms are visited in order of
 decreasing |coefficient| (ties broken lexicographically by word string) and
 each joins the first existing group whose members all anticommute with it.
 A group with coefficients c_1..c_n contributes sqrt(sum c_k^2) to the
-1-norm, since the normalized group sum extends to a reflection; the
-explicit product below realizes it with a global phase i.
+1-norm, since the normalized group sum extends to a reflection.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliPolynomial, PauliWord, anticommutes
+from .pauli import PauliWord, anticommutes
 
-__all__ = ["AcGroup", "AcPartition", "sorted_insertion", "lambda_ac", "group_unitary"]
+__all__ = ["AcGroup", "AcPartition", "sorted_insertion"]
 
 
 @dataclass
@@ -32,11 +31,6 @@ class AcGroup:
     @property
     def words(self):
         return [PauliWord(self.n_qubits, x, z) for x, z in self.keys]
-
-    def angles(self):
-        """theta_k = arcsin(c_k / sqrt(sum_{i<=k} c_i^2)) / 2, one per member."""
-        partial = np.sqrt(np.cumsum(self.coeffs**2))
-        return 0.5 * np.arcsin(np.clip(self.coeffs / partial, -1.0, 1.0))
 
 
 @dataclass
@@ -126,34 +120,3 @@ def sorted_insertion(poly):
         AcGroup(n_qubits, k, np.asarray(c, dtype=float)) for k, c in zip(keys, coeffs)
     ]
     return AcPartition(n_qubits, groups)
-
-
-def lambda_ac(obj):
-    """1-norm after anticommuting grouping; accepts a polynomial or a partition."""
-    if isinstance(obj, PauliPolynomial):
-        obj = sorted_insertion(obj)
-    return obj.one_norm()
-
-
-def group_unitary(group):
-    """Dense reflection realizing a group: equals i/norm times the group sum.
-
-    Built as A_1 .. A_{n-1} A_n A_n A_{n-1} .. A_1 with A_k = exp(i theta_k P_k);
-    intended for small qubit counts (tests, demos).
-    """
-    dim = 1 << group.n_qubits
-    eye = np.eye(dim, dtype=complex)
-    mats = [w.to_matrix() for w in group.words]
-    thetas = group.angles()
-
-    def rot(th, p):
-        return np.cos(th) * eye + 1j * np.sin(th) * p
-
-    left = eye
-    for th, p in zip(thetas[:-1], mats[:-1]):
-        left = left @ rot(th, p)
-    mid = rot(2 * thetas[-1], mats[-1])
-    right = eye
-    for th, p in zip(thetas[-2::-1], mats[-2::-1]):
-        right = right @ rot(th, p)
-    return left @ mid @ right

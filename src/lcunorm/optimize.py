@@ -22,7 +22,6 @@ class OptimizerConfig:
     max_iters: int = 500
     restarts: int = 2
     seed: int = 0
-    fd_step: float | None = None
 
     def __post_init__(self):
         if self.tol_grad <= 0:
@@ -31,8 +30,6 @@ class OptimizerConfig:
             raise ValueError("max_iters must be at least 1")
         if self.restarts < 0:
             raise ValueError("restarts must be non-negative")
-        if self.fd_step is not None and self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
 
 
 class _NonFinite(Exception):
@@ -62,16 +59,13 @@ def minimize(f, x0, cfg=None, jac=False):
         return out
 
     f0 = checked(x0)[0] if jac else checked(x0)
-    options = {"gtol": cfg.tol_grad, "maxiter": cfg.max_iters}
-    if cfg.fd_step is not None:
-        options["finite_diff_rel_step"] = cfg.fd_step
     try:
         res = scipy.optimize.minimize(
             checked,
             x0,
             jac=True if jac else "3-point",
             method="BFGS",
-            options=options,
+            options={"gtol": cfg.tol_grad, "maxiter": cfg.max_iters},
         )
     except _NonFinite as bad:
         raise NumericalError(

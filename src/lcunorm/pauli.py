@@ -1,4 +1,4 @@
-"""Sparse Pauli and Majorana operator algebra with the Jordan-Wigner mapping.
+"""Sparse Pauli operator algebra with the Jordan-Wigner mapping.
 
 Spin-orbitals map to qubits as p = 2*i + sigma (interleaved spins), i
 0-based spatial.  Pauli words are stored as (x, z) bitmasks where qubit q
@@ -10,17 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import SpatialTensors, SpinTensor2e, _one_body_adjust
+from .tensors import _one_body_adjust
 
 __all__ = [
     "PauliWord",
     "PauliPolynomial",
-    "MajoranaPolynomial",
     "jordan_wigner",
     "lambda_pauli",
     "lambda_pauli_closed_form",
-    "majorana_separate",
-    "majorana_to_pauli",
     "anticommutes",
 ]
 
@@ -175,42 +172,31 @@ def _excitation_terms(p, q):
 
 
 def jordan_wigner(t):
-    """Map chemist-form tensors (or a spin-resolved two-electron tensor) to qubits.
+    """Map chemist-form tensors to qubits.
 
     Returns a PauliPolynomial over 2N qubits whose dense matrix equals the
     Fock-space matrix of the input.
     """
-    if isinstance(t, SpinTensor2e):
-        n = t.n_orb
-        e0 = 0.0
-        obt = None
-        blocks = {"same": t.same, "opposite": t.opposite}
-    else:
-        n = t.n_orb
-        e0 = t.e0
-        obt = t.obt
-        blocks = {"same": t.tbt, "opposite": t.tbt}
-    m = 2 * n
+    m = 2 * t.n_orb
     exc = {}
     for p in range(m):
         for q in range(m):
             exc[(p, q)] = _excitation_terms(p, q)
 
-    acc = {(0, 0): complex(e0)}
+    acc = {(0, 0): complex(t.e0)}
 
     def add(scale, terms):
         for c, x, z in terms:
             key = (x, z)
             acc[key] = acc.get(key, 0.0) + scale * c
 
-    if obt is not None:
-        for i, j in zip(*np.nonzero(np.abs(obt) > PRUNE_TOL)):
-            for s in (0, 1):
-                add(obt[i, j], exc[(2 * i + s, 2 * j + s)])
+    for i, j in zip(*np.nonzero(np.abs(t.obt) > PRUNE_TOL)):
+        for s in (0, 1):
+            add(t.obt[i, j], exc[(2 * i + s, 2 * j + s)])
 
     prod_cache = {}
-    for block_name, g in blocks.items():
-        same_spin = block_name == "same"
+    g = t.tbt
+    for same_spin in (True, False):
         for i, j, k, l in zip(*np.nonzero(np.abs(g) > PRUNE_TOL)):
             v = g[i, j, k, l]
             for s in (0, 1):
@@ -252,162 +238,3 @@ def _closed_form(obt, g, absf=np.abs):
     term2 = float((absf(diff) * (gt[:, None, :, None] & gt[None, :, None, :])).sum())
     term3 = 0.5 * absf(g).sum()
     return float(term1 + term2 + term3)
-
-
-class MajoranaPolynomial:
-    """Real combination of ordered Majorana monomials.
-
-    Keys are tuples of (mode, flavor) strictly increasing in lexicographic
-    order; a stored coefficient c represents the operator
-    c * i^(degree/2) * (gamma product in key order), which keeps all
-    coefficients real for Hermitian inputs.
-    """
-
-    def __init__(self, n_modes, terms=None):
-        self.n_modes = n_modes
-        self.terms = dict(terms or {})
-
-    @staticmethod
-    def canonicalize(ops):
-        """Sort a gamma monomial; returns (sign, key) with pairwise cancellation."""
-        ops = list(ops)
-        sign = 1
-        for a in range(1, len(ops)):
-            b = a
-            while b > 0 and ops[b] < ops[b - 1]:
-                ops[b], ops[b - 1] = ops[b - 1], ops[b]
-                sign = -sign
-                b -= 1
-        out = []
-        idx = 0
-        while idx < len(ops):
-            if idx + 1 < len(ops) and ops[idx] == ops[idx + 1]:
-                idx += 2  # gamma^2 = 1
-            else:
-                out.append(ops[idx])
-                idx += 1
-        return sign, tuple(out)
-
-    def coefficient(self, ops):
-        """Stored coefficient for a monomial given in any order."""
-        sign, key = self.canonicalize(ops)
-        return sign * self.terms.get(key, 0.0)
-
-
-def _gamma_word(mode, flavor):
-    """JW image of gamma_{mode,flavor}: X (flavor 0) or Y (flavor 1) with Z tail."""
-    zlow = (1 << mode) - 1
-    if flavor:
-        return 1 << mode, zlow | (1 << mode)
-    return 1 << mode, zlow
-
-
-def majorana_to_pauli(mp):
-    """Translate a MajoranaPolynomial to the equivalent PauliPolynomial."""
-    n_qubits = mp.n_modes
-    acc = {}
-    for key, c in mp.terms.items():
-        x = z = 0
-        k_tot = 0
-        for mode, flavor in key:
-            xg, zg = _gamma_word(mode, flavor)
-            k, x, z = _mul_masks(x, z, xg, zg)
-            k_tot += k
-        phase = 1j ** ((len(key) // 2 + k_tot) % 4)
-        coeff = c * phase
-        if abs(coeff.imag) > 1e-10 * max(1.0, abs(c)):
-            raise ValueError("Majorana monomial translated to non-Hermitian term")
-        acc[(x, z)] = acc.get((x, z), 0.0) + coeff.real
-    return PauliPolynomial(n_qubits, acc)
-
-
-def majorana_separate(o):
-    """Split a Hamiltonian into constant, one-body and pure two-body Majorana parts.
-
-    Accepts SpatialTensors or a SpinTensor2e.  Returns (constant, w, mp) where
-    w is the N x N per-spin one-body coefficient matrix (the operator is
-    sum_sigma sum_ij w_ij * i * gamma_{i sigma,0} gamma_{j sigma,1}) and mp
-    holds the degree-4 monomials.  Constant + one-body + mp reassemble the
-    input exactly on Fock space.
-    """
-    if isinstance(o, SpinTensor2e):
-        n = o.n_orb
-        e0 = 0.0
-        obt = np.zeros((n, n))
-        blocks = {"same": o.same, "opposite": o.opposite}
-    else:
-        n = o.n_orb
-        e0 = o.e0
-        obt = o.obt
-        blocks = {"same": o.tbt, "opposite": o.tbt}
-
-    acc = {(): complex(e0)}
-
-    def ladder(mode, dagger):
-        s = -1j if dagger else 1j
-        return [(0.5, ((mode, 0),)), (0.5 * s, ((mode, 1),))]
-
-    def accumulate(scale, factors):
-        # factors: list of (complex, ops); multiply out and canonicalize
-        for c, ops in factors:
-            sign, key = MajoranaPolynomial.canonicalize(ops)
-            acc[key] = acc.get(key, 0.0) + scale * sign * c
-
-    def exc(p, q):
-        out = []
-        for c1, ops1 in ladder(p, True):
-            for c2, ops2 in ladder(q, False):
-                out.append((c1 * c2, ops1 + ops2))
-        return out
-
-    exc_cache = {}
-
-    def exc_of(p, q):
-        if (p, q) not in exc_cache:
-            exc_cache[(p, q)] = exc(p, q)
-        return exc_cache[(p, q)]
-
-    for i, j in zip(*np.nonzero(np.abs(obt) > PRUNE_TOL)):
-        for s in (0, 1):
-            accumulate(obt[i, j], exc_of(2 * i + s, 2 * j + s))
-
-    for block_name, g in blocks.items():
-        same_spin = block_name == "same"
-        for i, j, k, l in zip(*np.nonzero(np.abs(g) > PRUNE_TOL)):
-            v = g[i, j, k, l]
-            for s in (0, 1):
-                sp = s if same_spin else 1 - s
-                e1 = exc_of(2 * i + s, 2 * j + s)
-                e2 = exc_of(2 * k + sp, 2 * l + sp)
-                prods = [(c1 * c2, o1 + o2) for c1, o1 in e1 for c2, o2 in e2]
-                accumulate(v, prods)
-
-    const = acc.pop((), 0.0)
-    if abs(const.imag) > 1e-10:
-        raise ValueError("non-real constant part")
-    w = np.zeros((n, n))
-    quartic = {}
-    for key, c in acc.items():
-        deg = len(key)
-        stored = c / 1j ** (deg // 2)
-        if abs(stored.imag) > 1e-10:
-            raise ValueError(f"non-Hermitian monomial {key}")
-        stored = stored.real
-        if abs(stored) < PRUNE_TOL:
-            continue
-        if deg == 2:
-            (m1, f1), (m2, f2) = key
-            if f1 == f2 or m1 % 2 != m2 % 2:
-                raise ValueError(f"unexpected one-body monomial {key}")
-            # key is ordered; flavor-0 op may sit first (i <= j) or second (i > j)
-            if f1 == 0:
-                i, j, sign = m1 // 2, m2 // 2, 1.0
-            else:
-                i, j, sign = m2 // 2, m1 // 2, -1.0
-            if m1 % 2 == 0:  # record once, from the alpha copy
-                w[i, j] = sign * stored
-        elif deg == 4:
-            quartic[key] = stored
-        else:
-            raise ValueError(f"unexpected degree-{deg} monomial")
-    return const.real, w, MajoranaPolynomial(2 * n, quartic)

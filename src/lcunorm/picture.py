@@ -10,18 +10,17 @@ propagator in the rotating frame of H0 actually pays for.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fragments import (
     CsaFragment,
-    _antisymmetric,
-    _expm_antisym,
+    _fit_params,
+    _fragment_fit,
     _pack_dim,
-    _unpack_sym,
     fragment_tensor,
     make_rotation,
     theta_dim,
 )
+from .optimize import OptimizerConfig
 from .tensors import SpatialTensors, one_body_adjust
 
 __all__ = ["PictureSplit", "split_interaction"]
@@ -51,29 +50,9 @@ def _h0_tensors(h0):
     return (u * h0.mu) @ u.T, fragment_tensor(h0)
 
 
-def _split_cost_grad(x, t, n, want_grad=True):
-    """Joint squared Frobenius misfit of both tensors against one H0 frame."""
-    nt = theta_dim(n)
-    theta, mu, lam_p = x[:nt], x[nt : nt + n], x[nt + n :]
-    a = _antisymmetric(theta, n)
-    u = _expm_antisym(a)
-    lam = _unpack_sym(lam_p, n)
-    da = (u * mu) @ u.T - t.obt
-    w = np.einsum("ia,ja->ija", u, u).reshape(n * n, n)
-    diff = w @ lam @ w.T - t.tbt.reshape(n * n, n * n)
-    cost = float((da * da).sum() + (diff * diff).sum())
-    if not want_grad:
-        return cost
-    d = 2.0 * diff
-    rows, cols = np.tril_indices(n)
-    glam = np.where(rows == cols, 1.0, 2.0) * (w.T @ d @ w)[rows, cols]
-    gmu = 2.0 * np.einsum("ia,ij,ja->a", u, da, u)
-    m = (d @ w @ lam).reshape(n, n, n)
-    gu = 4.0 * np.einsum("ija,ja->ia", m, u) + 4.0 * da @ (u * mu)
-    z = scipy.linalg.expm_frechet(a.T, gu, compute_expm=False)
-    r2, c2 = np.tril_indices(n, -1)
-    gtheta = z[r2, c2] - z[c2, r2]
-    return cost, np.concatenate([gtheta, gmu, glam])
+def _split_optimizer(seed=0):
+    """The optimizer settings of the split fit: the default, with a longer cap."""
+    return OptimizerConfig(max_iters=2000, seed=seed)
 
 
 def split_interaction(t, cfg=None):
@@ -90,14 +69,13 @@ def split_interaction(t, cfg=None):
     differ by up to 1%.  Residual 1-norms therefore depend on the start
     and on the last bits of the arithmetic, not only on the tensors.
     """
-    from .optimize import OptimizerConfig, minimize
+    # imported per call, so that a replaced optimize.minimize is the one that runs
+    from .optimize import minimize
 
-    if cfg is None:
-        cfg = OptimizerConfig(tol_grad=1e-8, max_iters=2000)
+    cfg = cfg or _split_optimizer()
     n = t.n_orb
-    nt = theta_dim(n)
     x_base = np.concatenate(
-        [np.zeros(nt), np.linalg.eigvalsh(one_body_adjust(t)), np.zeros(_pack_dim(n))]
+        [np.zeros(theta_dim(n)), np.linalg.eigvalsh(one_body_adjust(t)), np.zeros(_pack_dim(n))]
     )
     rng = np.random.default_rng(cfg.seed)
     starts = [x_base]
@@ -105,9 +83,9 @@ def split_interaction(t, cfg=None):
         starts.append(x_base + rng.uniform(-0.05, 0.05, size=x_base.size))
     best_x, best_f = None, np.inf
     for x0 in starts:
-        x, fval, _ = minimize(lambda y: _split_cost_grad(y, t, n), x0, cfg, jac=True)
+        x, fval, _ = minimize(lambda y: _fragment_fit(y, t.tbt, t.obt), x0, cfg, jac=True)
         if fval < best_f:
             best_x, best_f = x, fval
-    theta, mu, lam_p = best_x[:nt], best_x[nt : nt + n], best_x[nt + n :]
-    h0 = CsaFragment(make_rotation(theta), _unpack_sym(lam_p, n), mu=mu)
+    theta, mu, lam = _fit_params(best_x, n, with_mu=True)
+    h0 = CsaFragment(make_rotation(theta), lam, mu=mu)
     return PictureSplit.of(t, h0)

@@ -41,7 +41,7 @@ from .fragments import (
 from .grouping import sorted_insertion
 from .optimize import OptimizerConfig, oo_pauli
 from .pauli import jordan_wigner, lambda_pauli_closed_form
-from .picture import PictureSplit, split_interaction
+from .picture import PictureSplit, _split_optimizer, split_interaction
 from .spectra import spectral_range
 from .symshift import optimize_shift
 from .tensors import (
@@ -90,15 +90,19 @@ class RunConfig:
     same settings.
     """
 
-    seed: int = 0
     csa_tol: float = 1e-6
     df_tol: float = 1e-12
     count_cutoff: float = 1e-6
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
+    @property
+    def seed(self):
+        """The run's one seed: CSA starts, orbital-search and split restarts."""
+        return self.optimizer.seed
+
     def echo(self):
         opt = self.optimizer
-        echo = {
+        return {
             "seed": self.seed,
             "csa_tol": self.csa_tol,
             "df_tol": self.df_tol,
@@ -107,12 +111,6 @@ class RunConfig:
             "max_iters": opt.max_iters,
             "restarts": opt.restarts,
         }
-        # echoed only when they differ from their default, so default keys stay put
-        if opt.fd_step is not None:
-            echo["fd_step"] = opt.fd_step
-        if opt.seed != self.seed:
-            echo["optimizer_seed"] = opt.seed
-        return echo
 
 
 def _entry(value, count):
@@ -202,9 +200,7 @@ class _MethodEngine:
         doc = self.cache.fetch(
             "gcsa-frags",
             lambda: {
-                "frags": fragments_to_json(
-                    csa_greedy(self.t, stop_tol=c.csa_tol, seed=c.seed, restarts=3)
-                )
+                "frags": fragments_to_json(csa_greedy(self.t, stop_tol=c.csa_tol, seed=c.seed))
             },
         )
         return fragments_from_json(doc["frags"])
@@ -354,7 +350,6 @@ def prepare(
     csa_tol=1e-6,
     df_tol=1e-12,
     count_cutoff=1e-6,
-    cfg=None,
     cache_dir=None,
 ):
     """Load the source and apply the symmetry shift or the mean-field split."""
@@ -362,11 +357,11 @@ def prepare(
         raise ValueError(f"unknown picture {picture!r}")
     if picture == "interaction" and shift:
         raise ValueError("the interaction picture does not take a symmetry shift")
-    if cfg is None:
-        cfg = OptimizerConfig(seed=seed)
-        if picture == "interaction":
-            cfg = OptimizerConfig(tol_grad=1e-8, max_iters=2000, seed=seed)
-    config = RunConfig(seed, csa_tol, df_tol, count_cutoff, cfg)
+    if picture == "interaction":
+        optimizer = _split_optimizer(seed)
+    else:
+        optimizer = OptimizerConfig(seed=seed)
+    config = RunConfig(csa_tol, df_tol, count_cutoff, optimizer)
     molecule, t = _resolve_source(source)
     s1 = s2 = 0.0
     split = None
@@ -388,13 +383,10 @@ def run_pipeline(
     csa_tol=1e-6,
     df_tol=1e-12,
     count_cutoff=1e-6,
-    cfg=None,
     cache_dir=None,
 ):
     """Full pipeline from an FCIDUMP path, fixture name, or tensors."""
-    p = prepare(
-        source, shift, picture, seed, csa_tol, df_tol, count_cutoff, cfg, cache_dir
-    )
+    p = prepare(source, shift, picture, seed, csa_tol, df_tol, count_cutoff, cache_dir)
     return report_for_tensors(
         p.tensors, p.molecule, picture, methods, shift, p.s1, p.s2, p.config, cache_dir
     )

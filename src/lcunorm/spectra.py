@@ -32,7 +32,6 @@ __all__ = [
     "SpectralRange",
     "FockOperator",
     "spectral_range",
-    "sector_spectrum",
     "minimal_lcu",
 ]
 
@@ -267,20 +266,6 @@ def spectral_range(t, method=None):
             e_min = min(e_min, lo)
             e_max = max(e_max, hi)
     return SpectralRange(e_min, e_max, method, worst)
-
-
-def sector_spectrum(t, n_elec):
-    """Eigenvalues on the fixed total-electron-number subspace, ascending."""
-    n = t.n_orb
-    if not 0 <= n_elec <= 2 * n:
-        raise ValueError(f"electron count {n_elec} outside [0, {2 * n}]")
-    out = []
-    for na in range(n + 1):
-        nb = n_elec - na
-        if 0 <= nb <= n:
-            sec = _Sector(t, na, nb)
-            out.append(np.linalg.eigvalsh(sec.dense()))
-    return np.sort(np.concatenate(out))
 
 
 class FockOperator:

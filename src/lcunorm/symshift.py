@@ -124,9 +124,9 @@ def _two_body_problem(t):
     return L1Problem(lam, np.ones((1, lam.size)), weights)
 
 
-def shift_two_body(t, method="auto"):
+def shift_two_body(t):
     """Optimal s2 for the Ne^2 shift and the two-body-shifted tensors."""
-    s_vec, _ = solve_l1(_two_body_problem(t), method=method)
+    s_vec, _ = solve_l1(_two_body_problem(t))
     s2 = float(s_vec[0])
     return apply_shift(t, SymmetryShift(0.0, s2)), s2
 
@@ -153,9 +153,9 @@ def apply_shift(t, shift):
     return t.replace(obt=obt, tbt=tbt)
 
 
-def optimize_shift(t, method="auto"):
+def optimize_shift(t):
     """Full two-stage shift: returns (SymmetryShift, shifted tensors)."""
-    t2, s2 = shift_two_body(t, method=method)
+    t2, s2 = shift_two_body(t)
     _, s1 = shift_one_body(t2)
     shift = SymmetryShift(s1, s2)
     return shift, apply_shift(t, shift)

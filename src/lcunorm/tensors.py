@@ -19,7 +19,6 @@ from .errors import ParseError
 
 __all__ = [
     "SpatialTensors",
-    "SpinTensor2e",
     "FcidumpRecord",
     "parse_fcidump",
     "write_fcidump",
@@ -28,7 +27,6 @@ __all__ = [
     "fixture_path",
     "to_chemist",
     "one_body_adjust",
-    "absorb_one_body",
 ]
 
 FIXTURE_NAMES = ("h2", "lih", "beh2", "h2o", "nh3")
@@ -48,14 +46,6 @@ def _check_eightfold(g, what):
         ((0, 1, 3, 2), "k<->l"),
         ((2, 3, 0, 1), "ij<->kl"),
     ):
-        dev = np.abs(g - g.transpose(perm)).max()
-        if dev > 1e-12 * scale:
-            raise ValueError(f"{what} violates {label} symmetry: max deviation {dev:.3e}")
-
-
-def _check_pair_exchange(g, what):
-    scale = max(np.abs(g).max(), 1.0)
-    for perm, label in (((2, 3, 0, 1), "ij<->kl"), ((1, 0, 3, 2), "ji|lk")):
         dev = np.abs(g - g.transpose(perm)).max()
         if dev > 1e-12 * scale:
             raise ValueError(f"{what} violates {label} symmetry: max deviation {dev:.3e}")
@@ -88,27 +78,6 @@ class SpatialTensors:
             self.obt if obt is None else obt,
             self.tbt if tbt is None else tbt,
         )
-
-
-@dataclass
-class SpinTensor2e:
-    """Two-electron coefficients resolved by spin: same-spin and opposite-spin blocks."""
-
-    same: np.ndarray
-    opposite: np.ndarray
-
-    def __post_init__(self):
-        self.same = np.ascontiguousarray(self.same, dtype=float)
-        self.opposite = np.ascontiguousarray(self.opposite, dtype=float)
-        n = self.same.shape[0]
-        if self.same.shape != (n, n, n, n) or self.opposite.shape != (n, n, n, n):
-            raise ValueError("tensor shape mismatch")
-        _check_pair_exchange(self.same, "same-spin block")
-        _check_pair_exchange(self.opposite, "opposite-spin block")
-
-    @property
-    def n_orb(self):
-        return self.same.shape[0]
 
 
 @dataclass
@@ -266,20 +235,3 @@ def one_body_adjust(t):
 def _one_body_adjust(obt, tbt):
     """one_body_adjust on bare arrays."""
     return obt + 2.0 * np.einsum("ijkk->ij", tbt)
-
-
-def absorb_one_body(mu, u):
-    """Express a rotated diagonal one-body operator as a two-electron tensor.
-
-    Given sum_{i sigma} mu_i n_{i sigma} in the orbital basis rotated by u,
-    returns the SpinTensor2e with same-spin block
-    o_ijkl = sum_m mu_m U_im U_jm U_km U_lm and a zero opposite-spin block.
-    Valid because n^2 = n for occupation operators.
-    """
-    mu = np.asarray(mu, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    if np.abs(u.T @ u - np.eye(n)).max() > 1e-10:
-        raise ValueError("u is not orthogonal to 1e-10")
-    same = np.einsum("im,jm,km,lm,m->ijkl", u, u, u, u, mu)
-    return SpinTensor2e(same, np.zeros((n, n, n, n)))

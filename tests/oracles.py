@@ -1,14 +1,73 @@
-"""Dense Fock-space reference operators for validating the fast code paths.
+"""Reference implementations that the tests check the library against.
 
-Everything here is deliberately slow and literal: ladder matrices built
-entry by entry in the occupation basis (bit p of the basis index is the
-occupation of spin-orbital p = 2*i + sigma), Hamiltonians assembled by
-explicit loops.  Usable up to ~12 modes.
+The dense Fock-space operators are deliberately slow and literal: ladder
+matrices built entry by entry in the occupation basis (bit p of the basis
+index is the occupation of spin-orbital p = 2*i + sigma), Hamiltonians
+assembled by explicit loops.  Usable up to ~12 modes.  The rest is code
+that the library does not run: spin-resolved two-electron tensors, the
+Majorana-operator route to Pauli words, the dense reflection of an
+anticommuting group and the spectrum at a fixed electron number.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from lcunorm.tensors import SpatialTensors, SpinTensor2e
+from lcunorm.grouping import sorted_insertion
+from lcunorm.pauli import PRUNE_TOL, PauliPolynomial, _mul_masks
+from lcunorm.spectra import _Sector
+from lcunorm.tensors import SpatialTensors
+
+# ---- spin-resolved two-electron tensors -----------------------------------
+
+
+def _check_pair_exchange(g, what):
+    scale = max(np.abs(g).max(), 1.0)
+    for perm, label in (((2, 3, 0, 1), "ij<->kl"), ((1, 0, 3, 2), "ji|lk")):
+        dev = np.abs(g - g.transpose(perm)).max()
+        if dev > 1e-12 * scale:
+            raise ValueError(f"{what} violates {label} symmetry: max deviation {dev:.3e}")
+
+
+@dataclass
+class SpinTensor2e:
+    """Two-electron coefficients resolved by spin: same-spin and opposite-spin blocks."""
+
+    same: np.ndarray
+    opposite: np.ndarray
+
+    def __post_init__(self):
+        self.same = np.ascontiguousarray(self.same, dtype=float)
+        self.opposite = np.ascontiguousarray(self.opposite, dtype=float)
+        n = self.same.shape[0]
+        if self.same.shape != (n, n, n, n) or self.opposite.shape != (n, n, n, n):
+            raise ValueError("tensor shape mismatch")
+        _check_pair_exchange(self.same, "same-spin block")
+        _check_pair_exchange(self.opposite, "opposite-spin block")
+
+    @property
+    def n_orb(self):
+        return self.same.shape[0]
+
+
+def absorb_one_body(mu, u):
+    """Express a rotated diagonal one-body operator as a two-electron tensor.
+
+    Given sum_{i sigma} mu_i n_{i sigma} in the orbital basis rotated by u,
+    returns the SpinTensor2e with same-spin block
+    o_ijkl = sum_m mu_m U_im U_jm U_km U_lm and a zero opposite-spin block.
+    Valid because n^2 = n for occupation operators.
+    """
+    mu = np.asarray(mu, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n = u.shape[0]
+    if np.abs(u.T @ u - np.eye(n)).max() > 1e-10:
+        raise ValueError("u is not orthogonal to 1e-10")
+    same = np.einsum("im,jm,km,lm,m->ijkl", u, u, u, u, mu)
+    return SpinTensor2e(same, np.zeros((n, n, n, n)))
+
+
+# ---- dense Fock-space operators -------------------------------------------
 
 
 def annihilator(p, n_modes):
@@ -142,3 +201,219 @@ def random_spin2e(n, rng, scale=1.0):
         return g / 4.0
 
     return SpinTensor2e(block(), block())
+
+
+# ---- Majorana algebra: a second route from tensors to Pauli words ---------
+
+
+class MajoranaPolynomial:
+    """Real combination of ordered Majorana monomials.
+
+    Keys are tuples of (mode, flavor) strictly increasing in lexicographic
+    order; a stored coefficient c represents the operator
+    c * i^(degree/2) * (gamma product in key order), which keeps all
+    coefficients real for Hermitian inputs.
+    """
+
+    def __init__(self, n_modes, terms=None):
+        self.n_modes = n_modes
+        self.terms = dict(terms or {})
+
+    @staticmethod
+    def canonicalize(ops):
+        """Sort a gamma monomial; returns (sign, key) with pairwise cancellation."""
+        ops = list(ops)
+        sign = 1
+        for a in range(1, len(ops)):
+            b = a
+            while b > 0 and ops[b] < ops[b - 1]:
+                ops[b], ops[b - 1] = ops[b - 1], ops[b]
+                sign = -sign
+                b -= 1
+        out = []
+        idx = 0
+        while idx < len(ops):
+            if idx + 1 < len(ops) and ops[idx] == ops[idx + 1]:
+                idx += 2  # gamma^2 = 1
+            else:
+                out.append(ops[idx])
+                idx += 1
+        return sign, tuple(out)
+
+    def coefficient(self, ops):
+        """Stored coefficient for a monomial given in any order."""
+        sign, key = self.canonicalize(ops)
+        return sign * self.terms.get(key, 0.0)
+
+
+def _gamma_word(mode, flavor):
+    """JW image of gamma_{mode,flavor}: X (flavor 0) or Y (flavor 1) with Z tail."""
+    zlow = (1 << mode) - 1
+    if flavor:
+        return 1 << mode, zlow | (1 << mode)
+    return 1 << mode, zlow
+
+
+def majorana_to_pauli(mp):
+    """Translate a MajoranaPolynomial to the equivalent PauliPolynomial."""
+    n_qubits = mp.n_modes
+    acc = {}
+    for key, c in mp.terms.items():
+        x = z = 0
+        k_tot = 0
+        for mode, flavor in key:
+            xg, zg = _gamma_word(mode, flavor)
+            k, x, z = _mul_masks(x, z, xg, zg)
+            k_tot += k
+        phase = 1j ** ((len(key) // 2 + k_tot) % 4)
+        coeff = c * phase
+        if abs(coeff.imag) > 1e-10 * max(1.0, abs(c)):
+            raise ValueError("Majorana monomial translated to non-Hermitian term")
+        acc[(x, z)] = acc.get((x, z), 0.0) + coeff.real
+    return PauliPolynomial(n_qubits, acc)
+
+
+def majorana_separate(o):
+    """Split a Hamiltonian into constant, one-body and pure two-body Majorana parts.
+
+    Accepts SpatialTensors or a SpinTensor2e.  Returns (constant, w, mp) where
+    w is the N x N per-spin one-body coefficient matrix (the operator is
+    sum_sigma sum_ij w_ij * i * gamma_{i sigma,0} gamma_{j sigma,1}) and mp
+    holds the degree-4 monomials.  Constant + one-body + mp reassemble the
+    input exactly on Fock space.
+    """
+    if isinstance(o, SpinTensor2e):
+        n = o.n_orb
+        e0 = 0.0
+        obt = np.zeros((n, n))
+        blocks = {"same": o.same, "opposite": o.opposite}
+    else:
+        n = o.n_orb
+        e0 = o.e0
+        obt = o.obt
+        blocks = {"same": o.tbt, "opposite": o.tbt}
+
+    acc = {(): complex(e0)}
+
+    def ladder(mode, dagger):
+        s = -1j if dagger else 1j
+        return [(0.5, ((mode, 0),)), (0.5 * s, ((mode, 1),))]
+
+    def accumulate(scale, factors):
+        # factors: list of (complex, ops); multiply out and canonicalize
+        for c, ops in factors:
+            sign, key = MajoranaPolynomial.canonicalize(ops)
+            acc[key] = acc.get(key, 0.0) + scale * sign * c
+
+    def exc(p, q):
+        out = []
+        for c1, ops1 in ladder(p, True):
+            for c2, ops2 in ladder(q, False):
+                out.append((c1 * c2, ops1 + ops2))
+        return out
+
+    exc_cache = {}
+
+    def exc_of(p, q):
+        if (p, q) not in exc_cache:
+            exc_cache[(p, q)] = exc(p, q)
+        return exc_cache[(p, q)]
+
+    for i, j in zip(*np.nonzero(np.abs(obt) > PRUNE_TOL)):
+        for s in (0, 1):
+            accumulate(obt[i, j], exc_of(2 * i + s, 2 * j + s))
+
+    for block_name, g in blocks.items():
+        same_spin = block_name == "same"
+        for i, j, k, l in zip(*np.nonzero(np.abs(g) > PRUNE_TOL)):
+            v = g[i, j, k, l]
+            for s in (0, 1):
+                sp = s if same_spin else 1 - s
+                e1 = exc_of(2 * i + s, 2 * j + s)
+                e2 = exc_of(2 * k + sp, 2 * l + sp)
+                prods = [(c1 * c2, o1 + o2) for c1, o1 in e1 for c2, o2 in e2]
+                accumulate(v, prods)
+
+    const = acc.pop((), 0.0)
+    if abs(const.imag) > 1e-10:
+        raise ValueError("non-real constant part")
+    w = np.zeros((n, n))
+    quartic = {}
+    for key, c in acc.items():
+        deg = len(key)
+        stored = c / 1j ** (deg // 2)
+        if abs(stored.imag) > 1e-10:
+            raise ValueError(f"non-Hermitian monomial {key}")
+        stored = stored.real
+        if abs(stored) < PRUNE_TOL:
+            continue
+        if deg == 2:
+            (m1, f1), (m2, f2) = key
+            if f1 == f2 or m1 % 2 != m2 % 2:
+                raise ValueError(f"unexpected one-body monomial {key}")
+            # key is ordered; flavor-0 op may sit first (i <= j) or second (i > j)
+            if f1 == 0:
+                i, j, sign = m1 // 2, m2 // 2, 1.0
+            else:
+                i, j, sign = m2 // 2, m1 // 2, -1.0
+            if m1 % 2 == 0:  # record once, from the alpha copy
+                w[i, j] = sign * stored
+        elif deg == 4:
+            quartic[key] = stored
+        else:
+            raise ValueError(f"unexpected degree-{deg} monomial")
+    return const.real, w, MajoranaPolynomial(2 * n, quartic)
+
+
+# ---- anticommuting groups and sector spectra ------------------------------
+
+
+def lambda_ac(obj):
+    """1-norm after anticommuting grouping; accepts a polynomial or a partition."""
+    if isinstance(obj, PauliPolynomial):
+        obj = sorted_insertion(obj)
+    return obj.one_norm()
+
+
+def group_angles(group):
+    """theta_k = arcsin(c_k / sqrt(sum_{i<=k} c_i^2)) / 2, one per member."""
+    partial = np.sqrt(np.cumsum(group.coeffs**2))
+    return 0.5 * np.arcsin(np.clip(group.coeffs / partial, -1.0, 1.0))
+
+
+def group_unitary(group):
+    """Dense reflection realizing a group: equals i/norm times the group sum.
+
+    Built as A_1 .. A_{n-1} A_n A_n A_{n-1} .. A_1 with A_k = exp(i theta_k P_k);
+    intended for small qubit counts.
+    """
+    dim = 1 << group.n_qubits
+    eye = np.eye(dim, dtype=complex)
+    mats = [w.to_matrix() for w in group.words]
+    thetas = group_angles(group)
+
+    def rot(th, p):
+        return np.cos(th) * eye + 1j * np.sin(th) * p
+
+    left = eye
+    for th, p in zip(thetas[:-1], mats[:-1]):
+        left = left @ rot(th, p)
+    mid = rot(2 * thetas[-1], mats[-1])
+    right = eye
+    for th, p in zip(thetas[-2::-1], mats[-2::-1]):
+        right = right @ rot(th, p)
+    return left @ mid @ right
+
+
+def sector_spectrum(t, n_elec):
+    """Eigenvalues on the fixed total-electron-number subspace, ascending."""
+    n = t.n_orb
+    if not 0 <= n_elec <= 2 * n:
+        raise ValueError(f"electron count {n_elec} outside [0, {2 * n}]")
+    out = []
+    for na in range(n + 1):
+        nb = n_elec - na
+        if 0 <= nb <= n:
+            sec = _Sector(t, na, nb)
+            out.append(np.linalg.eigvalsh(sec.dense()))
+    return np.sort(np.concatenate(out))

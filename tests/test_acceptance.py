@@ -27,7 +27,7 @@ from lcunorm.fragments import (
     CsaFragment,
     DfFragment,
     OrbitalRotation,
-    _csa_cost_grad,
+    _fragment_fit,
     _pack_dim,
     csa_greedy,
     double_factorize,
@@ -42,27 +42,21 @@ from lcunorm.fragments import (
 )
 from lcunorm.grouping import sorted_insertion
 from lcunorm.optimize import minimize
-from lcunorm.pauli import (
-    MajoranaPolynomial,
-    jordan_wigner,
-    lambda_pauli,
-    lambda_pauli_closed_form,
-    majorana_separate,
-    majorana_to_pauli,
-)
-from lcunorm.picture import _split_cost_grad
+from lcunorm.pauli import jordan_wigner, lambda_pauli, lambda_pauli_closed_form
 from lcunorm.pipeline import _METHODS, RunConfig, _MethodEngine, prepare, run_pipeline
 from lcunorm.spectra import minimal_lcu, spectral_range
 from lcunorm.symshift import L1Problem, SymmetryShift, apply_shift, solve_l1
-from lcunorm.tensors import (
-    SpatialTensors,
-    absorb_one_body,
-    load_fixture,
-    one_body_adjust,
-    to_chemist,
-)
+from lcunorm.tensors import SpatialTensors, load_fixture, one_body_adjust, to_chemist
 
-from oracles import dense_hamiltonian, number_total, random_spatial
+from oracles import (
+    MajoranaPolynomial,
+    absorb_one_body,
+    dense_hamiltonian,
+    majorana_separate,
+    majorana_to_pauli,
+    number_total,
+    random_spatial,
+)
 
 MOLECULES = ["h2", "lih", "beh2", "h2o", "nh3"]
 METHODS = ["de2", "pauli", "oo-pauli", "ac", "oo-ac", "df", "gcsa-f", "gcsa-sr"]
@@ -395,8 +389,8 @@ def test_c8_csa_gradient_matches_finite_differences():
     dim = theta_dim(n) + _pack_dim(n)
     for _ in range(5):
         x = rng.uniform(-0.3, 0.3, size=dim)
-        _, grad = _csa_cost_grad(x, target, n)
-        fun = lambda y: _csa_cost_grad(y, target, n)[0]
+        _, grad = _fragment_fit(x, target)
+        fun = lambda y: _fragment_fit(y, target)[0]
         assert _fd_check(fun, x, grad) < 1e-4
 
 
@@ -407,8 +401,8 @@ def test_c8_split_gradient_matches_finite_differences():
     dim = theta_dim(n) + n + _pack_dim(n)
     for _ in range(5):
         x = rng.uniform(-0.3, 0.3, size=dim)
-        _, grad = _split_cost_grad(x, t, n)
-        fun = lambda y: _split_cost_grad(y, t, n, want_grad=False)
+        _, grad = _fragment_fit(x, t.tbt, t.obt)
+        fun = lambda y: _fragment_fit(y, t.tbt, t.obt)[0]
         assert _fd_check(fun, x, grad) < 1e-4
 
 
@@ -484,7 +478,7 @@ def _certify_residual(t, split, methods):
     h0, res = split.h0, split.residual
     lam = fragment_lambda_matrix(h0)
     x = np.concatenate([h0.rotation.theta, h0.mu, lam[np.tril_indices(n)]])
-    fit = _split_cost_grad(x, t, n, want_grad=False)
+    fit = _fragment_fit(x, t.tbt, t.obt)[0]
     left = float((res.obt * res.obt).sum() + (res.tbt * res.tbt).sum())
     assert abs(fit - left) <= 1e-10 * max(1.0, fit)
     closed = lambda_pauli_closed_form(res)

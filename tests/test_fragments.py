@@ -9,7 +9,7 @@ from lcunorm.fragments import (
     CsaFragment,
     DfFragment,
     OrbitalRotation,
-    _csa_cost_grad,
+    _fragment_fit,
     _pack_dim,
     csa_greedy,
     double_factorize,
@@ -158,24 +158,25 @@ def test_csa_respects_max_frags():
     assert len(frags) == 3
 
 
-def test_csa_gradients_match_finite_differences():
+@pytest.mark.parametrize("with_obt", [False, True], ids=["csa", "split"])
+def test_fragment_fit_gradient_matches_finite_differences(with_obt):
+    # the CSA layout (theta, lam) fits the two-body tensor alone; the split
+    # layout (theta, mu, lam) fits the one-body matrix too
     rng = np.random.default_rng(23)
     n = 3
-    target = random_spatial(n, rng).tbt
-    dim = theta_dim(n) + _pack_dim(n)
+    t = random_spatial(n, rng)
+    obt = t.obt if with_obt else None
+    dim = theta_dim(n) + (n if with_obt else 0) + _pack_dim(n)
+    h = 1e-5
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, size=dim)
-        _, grad = _csa_cost_grad(x, target, n)
+        _, grad = _fragment_fit(x, t.tbt, obt)
         fd = np.zeros(dim)
-        h = 1e-5
         for k in range(dim):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] -= h
-            fd[k] = (
-                _csa_cost_grad(xp, target, n, want_grad=False)
-                - _csa_cost_grad(xm, target, n, want_grad=False)
-            ) / (2 * h)
+            e = np.zeros(dim)
+            e[k] = h
+            fp = _fragment_fit(x + e, t.tbt, obt)[0]
+            fd[k] = (fp - _fragment_fit(x - e, t.tbt, obt)[0]) / (2 * h)
         scale = max(1.0, np.abs(fd).max())
         assert np.abs(grad - fd).max() / scale < 1e-4
 

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from oracles import random_spatial
+from oracles import group_angles, group_unitary, lambda_ac, random_spatial
 
-from lcunorm.grouping import AcGroup, group_unitary, lambda_ac, sorted_insertion
+from lcunorm.grouping import AcGroup, sorted_insertion
 from lcunorm.pauli import (
     PauliPolynomial,
     PauliWord,
@@ -40,6 +40,23 @@ def test_partition_deterministic():
     p1 = sorted_insertion(_poly(2, rng1))
     p2 = sorted_insertion(_poly(2, rng2))
     assert [g.keys for g in p1.groups] == [g.keys for g in p2.groups]
+
+
+def test_wide_words_group_as_the_vectorized_branch_does():
+    # above 63 qubits the masks no longer fit uint64 and sorted_insertion
+    # takes its pure-Python branch; the same words on 10 qubits take the
+    # vectorized one.  Repeated magnitudes exercise the word-string tie-break.
+    rng = np.random.default_rng(67)
+    masks = rng.integers(0, 1 << 10, size=(300, 2))
+    mags = rng.choice([0.25, 0.5, 1.0, 2.0], size=300) * rng.choice([-1.0, 1.0], size=300)
+    terms = {(int(x), int(z)): float(c) for (x, z), c in zip(masks, mags)}
+    narrow = sorted_insertion(PauliPolynomial(10, terms))
+    wide = sorted_insertion(PauliPolynomial(64, terms))
+    wide.validate()
+    assert narrow.n_groups > 1
+    assert [g.keys for g in wide.groups] == [g.keys for g in narrow.groups]
+    for gw, gn in zip(wide.groups, narrow.groups):
+        assert np.array_equal(gw.coeffs, gn.coeffs)
 
 
 def test_group_coefficients_descend():
@@ -85,7 +102,7 @@ def test_singleton_unitary():
 
 def test_angles_formula():
     g = AcGroup(2, [(1, 0), (2, 0)], np.array([0.8, -0.6]))
-    th = g.angles()
+    th = group_angles(g)
     assert abs(th[0] - 0.5 * np.arcsin(1.0)) < 1e-12
     assert abs(th[1] - 0.5 * np.arcsin(-0.6)) < 1e-12
 

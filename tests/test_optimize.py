@@ -72,8 +72,6 @@ def test_config_validation():
         OptimizerConfig(tol_grad=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(fd_step=-1.0)
 
 
 def test_oo_pauli_never_worsens():

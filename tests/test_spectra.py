@@ -11,12 +11,11 @@ from lcunorm.spectra import (
     SpectralRange,
     _Sector,
     minimal_lcu,
-    sector_spectrum,
     spectral_range,
 )
 from lcunorm.tensors import SpatialTensors, load_fixture, to_chemist
 
-from oracles import dense_hamiltonian, number_total, random_spatial
+from oracles import dense_hamiltonian, random_spatial, sector_spectrum
 
 
 def chemist(name):

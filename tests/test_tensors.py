@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
-from oracles import dense_from_record, dense_hamiltonian, excitation_table, random_spatial
+from oracles import (
+    SpinTensor2e,
+    absorb_one_body,
+    dense_from_record,
+    dense_hamiltonian,
+    excitation_table,
+    random_spatial,
+)
 
 from lcunorm.errors import ParseError
 from lcunorm.tensors import (
     FIXTURE_NAMES,
     SpatialTensors,
-    SpinTensor2e,
-    absorb_one_body,
     fixture_path,
     load_fixture,
     one_body_adjust,
