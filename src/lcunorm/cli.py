@@ -34,9 +34,6 @@ def build_parser():
         help="compute norms for the full Hamiltonian or the split residual",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csa-tol", type=float, default=1e-6)
-    p.add_argument("--df-tol", type=float, default=1e-12)
-    p.add_argument("--count-cutoff", type=float, default=1e-6)
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "text", "markdown"), default="text")
     return p
@@ -54,9 +51,6 @@ def main(argv=None):
                 shift=args.shift,
                 picture=args.picture,
                 seed=args.seed,
-                csa_tol=args.csa_tol,
-                df_tol=args.df_tol,
-                count_cutoff=args.count_cutoff,
             )
             for source in args.input
         ]

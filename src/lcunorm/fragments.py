@@ -280,15 +280,17 @@ def _fragment_fit(x, tbt, obt=None):
 
 
 _CSA_RESTARTS = 3  # fresh starts per fragment before CSA declares stagnation
+_CSA_FRAGS_PER_ORBITAL = 50  # CSA fails past this many fragments per orbital
 
 
-def csa_greedy(t, stop_tol=1e-6, max_frags=None, seed=0):
+def csa_greedy(t, stop_tol=1e-6, seed=0):
     """Greedy CSA: repeatedly fit one fragment to the two-electron residual.
 
     Each fit minimizes the squared Frobenius norm of (residual - fragment)
     starting from small random (theta, lam); up to _CSA_RESTARTS fresh
     starts are tried before declaring stagnation.  Stops when the residual
-    Frobenius norm falls to stop_tol or max_frags is reached.
+    Frobenius norm falls to stop_tol; raises NumericalError if that takes
+    more than _CSA_FRAGS_PER_ORBITAL fragments per orbital.
     """
     from .optimize import OptimizerConfig, minimize
 
@@ -299,12 +301,18 @@ def csa_greedy(t, stop_tol=1e-6, max_frags=None, seed=0):
     target = t.tbt.copy()
     dim = theta_dim(n) + _pack_dim(n)
     cfg = OptimizerConfig(tol_grad=1e-9, max_iters=2000)
-    cap = max_frags if max_frags is not None else 50 * n
+    cap = _CSA_FRAGS_PER_ORBITAL * n
     frags = []
     while True:
         rnorm = float(np.sqrt((target * target).sum()))
-        if rnorm <= stop_tol or len(frags) >= cap:
-            break
+        if rnorm <= stop_tol:
+            return frags
+        if len(frags) >= cap:
+            raise NumericalError(
+                f"CSA exceeded {cap} fragments without reaching {stop_tol:g} "
+                f"(residual {rnorm:.3e})",
+                payload={"residual": rnorm, "n_fragments": len(frags)},
+            )
         # fit the unit-normalized residual so the cost stays O(1); lam is
         # linear in the fragment tensor, so scaling back afterwards is exact
         scaled = target / rnorm
@@ -325,14 +333,6 @@ def csa_greedy(t, stop_tol=1e-6, max_frags=None, seed=0):
         frag = CsaFragment(make_rotation(theta), rnorm * lam)
         target -= fragment_tensor(frag)
         frags.append(frag)
-    if max_frags is None and len(frags) >= cap:
-        rnorm = float(np.sqrt((target * target).sum()))
-        raise NumericalError(
-            f"CSA exceeded {cap} fragments without reaching {stop_tol:g} "
-            f"(residual {rnorm:.3e})",
-            payload={"residual": rnorm, "n_fragments": len(frags)},
-        )
-    return frags
 
 
 def lambda_fermionic(mu, frags):

@@ -12,13 +12,20 @@ groups; DF counts kept fragments plus one one-body block; GCSA-F counts
 reflection-pair products above the cutoff plus 2N one-body reflections;
 GCSA-SR counts two unitaries per fragment plus one; de2 is the
 two-reflection decomposition.
+
+Every report uses the paper's fixed conventions: CSA stops at residual
+CSA_TOL, DF truncates at DF_TOL and counts drop terms at COUNT_CUTOFF.  The
+only settings that change a result are the seed, the symmetry shift and the
+picture.  `run_pipeline` is the one path into a report: `prepare` loads the
+source and applies the shift or the split, and the method engine computes
+the entries.
 """
 
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -56,7 +63,6 @@ from .tensors import (
 __all__ = [
     "NormReport",
     "Prepared",
-    "RunConfig",
     "prepare",
     "run_pipeline",
     "emit_table",
@@ -81,36 +87,25 @@ class NormReport:
     config: dict
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The settings every method of one report runs with.
+# The paper's fixed conventions: the CSA stopping residual, the DF truncation
+# and the threshold below which a term, group or fragment is not counted.
+CSA_TOL = 1e-6
+DF_TOL = 1e-12
+COUNT_CUTOFF = 1e-6
 
-    `echo()` is the report's `config` block, and its hash is part of every
-    cache key, so two runs share cache entries exactly when they echo the
-    same settings.
-    """
 
-    csa_tol: float = 1e-6
-    df_tol: float = 1e-12
-    count_cutoff: float = 1e-6
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-
-    @property
-    def seed(self):
-        """The run's one seed: CSA starts, orbital-search and split restarts."""
-        return self.optimizer.seed
-
-    def echo(self):
-        opt = self.optimizer
-        return {
-            "seed": self.seed,
-            "csa_tol": self.csa_tol,
-            "df_tol": self.df_tol,
-            "count_cutoff": self.count_cutoff,
-            "tol_grad": opt.tol_grad,
-            "max_iters": opt.max_iters,
-            "restarts": opt.restarts,
-        }
+def _echo(optimizer):
+    """The report's `config` block; its hash is part of every cache key, so two
+    runs share cache entries exactly when they echo the same settings."""
+    return {
+        "seed": optimizer.seed,
+        "csa_tol": CSA_TOL,
+        "df_tol": DF_TOL,
+        "count_cutoff": COUNT_CUTOFF,
+        "tol_grad": optimizer.tol_grad,
+        "max_iters": optimizer.max_iters,
+        "restarts": optimizer.restarts,
+    }
 
 
 def _entry(value, count):
@@ -131,19 +126,19 @@ def _tensor_key(t):
 
 
 class _Cache:
-    """Disk entries of one tensor set under one run config.
+    """Disk entries of one tensor set under one set of optimizer settings.
 
     The directory defaults to $LCUNORM_CACHE_DIR; with neither, every
     entry is computed and nothing is stored.
     """
 
-    def __init__(self, directory, t, config):
+    def __init__(self, directory, t, optimizer):
         if directory is None:
             directory = os.environ.get("LCUNORM_CACHE_DIR")
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
-        digest = hashlib.sha256(json.dumps(config.echo(), sort_keys=True).encode())
+        digest = hashlib.sha256(json.dumps(_echo(optimizer), sort_keys=True).encode())
         self.prefix = f"{_tensor_key(t)}-{digest.hexdigest()[:12]}"
 
     def key(self, name):
@@ -169,17 +164,17 @@ class _Cache:
 
 
 class _MethodEngine:
-    """Computes method entries for one tensor set with shared intermediates.
+    """Computes the method entries of one prepared run with shared intermediates.
 
     The compute functions in _METHODS are methods of this class that look
     their layer functions up in this module's namespace when called, so a
     function replaced there (by a test or a tracer) is the one that runs.
     """
 
-    def __init__(self, t, config, cache_dir=None):
-        self.t = t
-        self.config = config
-        self.cache = _Cache(cache_dir, t, config)
+    def __init__(self, prepared, cache_dir=None):
+        self.t = prepared.tensors
+        self.optimizer = prepared.optimizer
+        self.cache = _Cache(cache_dir, self.t, self.optimizer)
         self._frames = {}
 
     def entry(self, method):
@@ -190,18 +185,16 @@ class _MethodEngine:
         """Orbital rotation angles that minimize the closed-form Pauli 1-norm."""
         doc = self.cache.fetch(
             "oo-theta",
-            lambda: {"theta": list(oo_pauli(self.t, self.config.optimizer)[0])},
+            lambda: {"theta": list(oo_pauli(self.t, self.optimizer)[0])},
         )
         return np.asarray(doc["theta"])
 
     @cached_property
     def gcsa_fragments(self):
-        c = self.config
+        seed = self.optimizer.seed
         doc = self.cache.fetch(
             "gcsa-frags",
-            lambda: {
-                "frags": fragments_to_json(csa_greedy(self.t, stop_tol=c.csa_tol, seed=c.seed))
-            },
+            lambda: {"frags": fragments_to_json(csa_greedy(self.t, stop_tol=CSA_TOL, seed=seed))},
         )
         return fragments_from_json(doc["frags"])
 
@@ -222,28 +215,26 @@ class _MethodEngine:
 
     def _pauli(self, optimized):
         t, poly = self.frame(optimized)
-        cutoff = self.config.count_cutoff
-        count = sum(1 for k, c in poly.raw_items() if k != (0, 0) and abs(c) > cutoff)
+        count = sum(1 for k, c in poly.raw_items() if k != (0, 0) and abs(c) > COUNT_CUTOFF)
         return _entry(lambda_pauli_closed_form(t), count)
 
     def _ac(self, optimized):
         part = sorted_insertion(self.frame(optimized)[1])
-        count = sum(1 for g in part.groups if g.norm > self.config.count_cutoff)
+        count = sum(1 for g in part.groups if g.norm > COUNT_CUTOFF)
         return _entry(part.one_norm(), count)
 
     def _df(self):
-        frags = double_factorize(self.t, tol=self.config.df_tol)
+        frags = double_factorize(self.t, tol=DF_TOL)
         l1 = float(np.abs(self._mu()).sum())
         costs = [lambda_complete_square(f) for f in frags]
-        kept = sum(1 for c in costs if c > self.config.count_cutoff)
+        kept = sum(1 for c in costs if c > COUNT_CUTOFF)
         return _entry(l1 + sum(costs), kept + 1)
 
     def _gcsa_f(self):
         frags = self.gcsa_fragments
         l1, l2 = lambda_fermionic(self._mu(), frags)
         count = sum(
-            reflection_term_count(fragment_lambda_matrix(f), self.config.count_cutoff)
-            for f in frags
+            reflection_term_count(fragment_lambda_matrix(f), COUNT_CUTOFF) for f in frags
         ) + 2 * self.t.n_orb
         return _entry(l1 + l2, count)
 
@@ -280,26 +271,75 @@ def _resolve_source(source):
     raise FileNotFoundError(f"no such file or fixture: {name}")
 
 
-def report_for_tensors(
-    t,
-    molecule,
-    picture,
-    methods=None,
-    shift_applied=False,
-    s1=0.0,
-    s2=0.0,
-    config=None,
-    cache_dir=None,
+def _cached_split(t, optimizer, cache_dir):
+    """Mean-field split of the tensors, disk-cached on the pre-split tensors."""
+
+    def compute():
+        h0 = split_interaction(t, optimizer).h0
+        lam = [list(row) for row in h0.lam]
+        return {"theta": list(h0.rotation.theta), "mu": list(h0.mu), "lam": lam}
+
+    doc = _Cache(cache_dir, t, optimizer).fetch("split", compute)
+    rotation = make_rotation(np.asarray(doc["theta"]))
+    h0 = CsaFragment(rotation, np.asarray(doc["lam"]), mu=np.asarray(doc["mu"]))
+    return PictureSplit.of(t, h0)
+
+
+@dataclass
+class Prepared:
+    """What a pipeline run decomposes: the tensors after the requested shift
+    or mean-field split, the shift coefficients, the split itself (interaction
+    picture only) and the optimizer settings the methods run with."""
+
+    molecule: str
+    picture: str
+    shift: bool
+    tensors: SpatialTensors
+    s1: float
+    s2: float
+    split: PictureSplit | None
+    optimizer: OptimizerConfig
+
+
+def prepare(source, shift=False, picture="schrodinger", seed=0, cache_dir=None):
+    """Load the source and apply the symmetry shift or the mean-field split."""
+    if picture not in ("schrodinger", "interaction"):
+        raise ValueError(f"unknown picture {picture!r}")
+    if picture == "interaction" and shift:
+        raise ValueError("the interaction picture does not take a symmetry shift")
+    # the split's longer iteration cap also drives oo_pauli on the residual
+    if picture == "interaction":
+        optimizer = _split_optimizer(seed)
+    else:
+        optimizer = OptimizerConfig(seed=seed)
+    molecule, t = _resolve_source(source)
+    s1 = s2 = 0.0
+    split = None
+    if shift:
+        shift_obj, t = optimize_shift(t)
+        s1, s2 = shift_obj.s1, shift_obj.s2
+    if picture == "interaction":
+        split = _cached_split(t, optimizer, cache_dir)
+        t = split.residual
+    return Prepared(molecule, picture, shift, t, s1, s2, split, optimizer)
+
+
+def run_pipeline(
+    source, methods=None, shift=False, picture="schrodinger", seed=0, cache_dir=None
 ):
-    """Build a NormReport for tensors that are already shifted/split."""
+    """Report from an FCIDUMP path, a fixture name or SpatialTensors.
+
+    Raises NumericalError if any method's 1-norm falls below the spectral
+    floor dE/2 (when de2 is among the methods).
+    """
     from . import __version__
 
-    config = config or RunConfig()
     wanted = METHOD_ORDER if methods is None else set(methods)
     unknown = set(wanted) - _METHODS.keys()
     if unknown:
         raise ValueError(f"unknown method(s): {', '.join(sorted(unknown))}")
-    engine = _MethodEngine(t, config, cache_dir)
+    p = prepare(source, shift, picture, seed, cache_dir)
+    engine = _MethodEngine(p, cache_dir)
     entries = {m: engine.entry(m) for m in METHOD_ORDER if m in wanted}
     if "de2" in entries:
         floor = entries["de2"]["lambda"] - 1e-9
@@ -310,85 +350,7 @@ def report_for_tensors(
                     f"spectral lower bound {floor + 1e-9:.12g}"
                 )
     return NormReport(
-        molecule, picture, shift_applied, s1, s2, entries, __version__, config.echo()
-    )
-
-
-def _cached_split(t, config, cache_dir):
-    """Mean-field split of the tensors, disk-cached on the pre-split tensors."""
-
-    def compute():
-        h0 = split_interaction(t, config.optimizer).h0
-        lam = [list(row) for row in h0.lam]
-        return {"theta": list(h0.rotation.theta), "mu": list(h0.mu), "lam": lam}
-
-    doc = _Cache(cache_dir, t, config).fetch("split", compute)
-    rotation = make_rotation(np.asarray(doc["theta"]))
-    h0 = CsaFragment(rotation, np.asarray(doc["lam"]), mu=np.asarray(doc["mu"]))
-    return PictureSplit.of(t, h0)
-
-
-@dataclass
-class Prepared:
-    """What a pipeline run decomposes: the tensors after the requested shift
-    or mean-field split, the shift coefficients, the split itself (interaction
-    picture only) and the settings the methods run with."""
-
-    molecule: str
-    tensors: SpatialTensors
-    s1: float
-    s2: float
-    split: PictureSplit | None
-    config: RunConfig
-
-
-def prepare(
-    source,
-    shift=False,
-    picture="schrodinger",
-    seed=0,
-    csa_tol=1e-6,
-    df_tol=1e-12,
-    count_cutoff=1e-6,
-    cache_dir=None,
-):
-    """Load the source and apply the symmetry shift or the mean-field split."""
-    if picture not in ("schrodinger", "interaction"):
-        raise ValueError(f"unknown picture {picture!r}")
-    if picture == "interaction" and shift:
-        raise ValueError("the interaction picture does not take a symmetry shift")
-    if picture == "interaction":
-        optimizer = _split_optimizer(seed)
-    else:
-        optimizer = OptimizerConfig(seed=seed)
-    config = RunConfig(csa_tol, df_tol, count_cutoff, optimizer)
-    molecule, t = _resolve_source(source)
-    s1 = s2 = 0.0
-    split = None
-    if shift:
-        shift_obj, t = optimize_shift(t)
-        s1, s2 = shift_obj.s1, shift_obj.s2
-    if picture == "interaction":
-        split = _cached_split(t, config, cache_dir)
-        t = split.residual
-    return Prepared(molecule, t, s1, s2, split, config)
-
-
-def run_pipeline(
-    source,
-    methods=None,
-    shift=False,
-    picture="schrodinger",
-    seed=0,
-    csa_tol=1e-6,
-    df_tol=1e-12,
-    count_cutoff=1e-6,
-    cache_dir=None,
-):
-    """Full pipeline from an FCIDUMP path, fixture name, or tensors."""
-    p = prepare(source, shift, picture, seed, csa_tol, df_tol, count_cutoff, cache_dir)
-    return report_for_tensors(
-        p.tensors, p.molecule, picture, methods, shift, p.s1, p.s2, p.config, cache_dir
+        p.molecule, p.picture, p.shift, p.s1, p.s2, entries, __version__, _echo(p.optimizer)
     )
 
 

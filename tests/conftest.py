@@ -57,8 +57,7 @@ class PipelineRunner:
         """Method engine that serves the report's cached intermediates."""
         from lcunorm.pipeline import _MethodEngine
 
-        p = self.prepared(molecule, variant)
-        return _MethodEngine(p.tensors, p.config, CACHE_DIR)
+        return _MethodEngine(self.prepared(molecule, variant), CACHE_DIR)
 
 
 @pytest.fixture(scope="session")

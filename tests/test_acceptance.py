@@ -43,7 +43,7 @@ from lcunorm.fragments import (
 from lcunorm.grouping import sorted_insertion
 from lcunorm.optimize import minimize
 from lcunorm.pauli import jordan_wigner, lambda_pauli, lambda_pauli_closed_form
-from lcunorm.pipeline import _METHODS, RunConfig, _MethodEngine, prepare, run_pipeline
+from lcunorm.pipeline import _METHODS, _MethodEngine, prepare, run_pipeline
 from lcunorm.spectra import minimal_lcu, spectral_range
 from lcunorm.symshift import L1Problem, SymmetryShift, apply_shift, solve_l1
 from lcunorm.tensors import SpatialTensors, load_fixture, one_body_adjust, to_chemist
@@ -345,7 +345,7 @@ def test_c6_one_body_norm_identical_under_both_costings():
     rng = np.random.default_rng(24)
     obt = rng.normal(size=(3, 3))
     t = SpatialTensors(0.0, 0.5 * (obt + obt.T), np.zeros((3, 3, 3, 3)))
-    engine = _MethodEngine(t, RunConfig())
+    engine = _MethodEngine(prepare(t))
     f = engine.entry("gcsa-f")["lambda"]
     sr = engine.entry("gcsa-sr")["lambda"]
     mu = np.linalg.eigvalsh(one_body_adjust(t))
@@ -528,7 +528,7 @@ def test_c9_certificates_reject_a_lowered_cache_entry(tmp_path, variant, method)
     kwargs = {"picture": "interaction"} if variant == "residual" else {}
     run_pipeline("h2", cache_dir=d, **kwargs)
     p = prepare("h2", cache_dir=d, **kwargs)
-    engine = _MethodEngine(p.tensors, p.config, d)
+    engine = _MethodEngine(p, d)
     path = os.path.join(d, engine.cache.key(method) + ".json")
     with open(path) as fh:
         doc = json.load(fh)

@@ -152,10 +152,16 @@ def test_csa_h2_residual_and_monotone():
         assert b <= a + 1e-12
 
 
-def test_csa_respects_max_frags():
-    t = to_chemist(load_fixture("lih"))
-    frags = csa_greedy(t, stop_tol=1e-12, max_frags=3, seed=0)
-    assert len(frags) == 3
+def test_csa_fails_fast_at_the_fragment_cap(monkeypatch):
+    import lcunorm.fragments as fr
+
+    # one fragment per orbital: LiH (6 orbitals) needs many more to reach 1e-6
+    monkeypatch.setattr(fr, "_CSA_FRAGS_PER_ORBITAL", 1)
+    lih = to_chemist(load_fixture("lih"))
+    with pytest.raises(NumericalError, match="exceeded 6 fragments without reaching 1e-06") as exc:
+        csa_greedy(lih, stop_tol=1e-6, seed=0)
+    assert exc.value.payload["n_fragments"] == 6
+    assert exc.value.payload["residual"] > 1e-6
 
 
 @pytest.mark.parametrize("with_obt", [False, True], ids=["csa", "split"])

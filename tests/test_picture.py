@@ -10,7 +10,7 @@ from lcunorm.fragments import (
 )
 from lcunorm.optimize import OptimizerConfig
 from lcunorm.picture import split_interaction
-from lcunorm.pipeline import report_for_tensors
+from lcunorm.pipeline import run_pipeline
 from lcunorm.tensors import SpatialTensors, load_fixture, to_chemist
 
 
@@ -57,10 +57,7 @@ def test_one_body_only_input_is_fully_absorbed():
 
 
 def test_h2_residual_norms():
-    split = split_interaction(chemist("h2"))
-    report = report_for_tensors(
-        split.residual, "residual", "interaction", methods=["de2", "pauli"]
-    )
+    report = run_pipeline("h2", methods=["de2", "pauli"], picture="interaction")
     assert report.picture == "interaction"
     assert abs(report.methods["pauli"]["lambda"] - 0.2952) < 5e-4
     assert abs(report.methods["de2"]["lambda"] - 0.1968) < 5e-4

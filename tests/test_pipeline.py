@@ -2,12 +2,21 @@
 
 import json
 import os
+import shutil
 
 import pytest
+from conftest import _VARIANTS, CACHE_DIR
 
 from lcunorm.cli import main
-from lcunorm.pipeline import METHOD_ORDER, emit_table, run_pipeline
-from lcunorm.tensors import fixture_path
+from lcunorm.pipeline import (
+    METHOD_ORDER,
+    _Cache,
+    _MethodEngine,
+    emit_table,
+    prepare,
+    run_pipeline,
+)
+from lcunorm.tensors import FIXTURE_NAMES, fixture_path
 
 FAST = ["de2", "pauli", "ac", "df"]
 
@@ -46,6 +55,45 @@ def test_json_reports_are_byte_identical():
     doc = json.loads(a)
     assert doc["reports"][0]["molecule"] == "h2"
     assert doc["reports"][0]["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize("picture, max_iters", [("schrodinger", 500), ("interaction", 2000)])
+def test_config_block_is_pinned(picture, max_iters):
+    # the block is hashed into every cache key: a change to it moves every key
+    report = run_pipeline("h2", methods=["pauli"], picture=picture)
+    config = json.loads(emit_table([report], fmt="json"))["reports"][0]["config"]
+    assert config == {
+        "seed": 0,
+        "csa_tol": 1e-6,
+        "df_tol": 1e-12,
+        "count_cutoff": 1e-6,
+        "tol_grad": 1e-8,
+        "max_iters": max_iters,
+        "restarts": 2,
+    }
+
+
+def test_committed_cache_holds_exactly_the_report_keys(tmp_path):
+    # Every entry that a full report of each fixture and variant reads must be
+    # in the committed cache, and nothing else: a refactor that moves a key
+    # would otherwise only show as minutes of recomputation.  Keys are derived
+    # against a copy, so the committed directory is never written.
+    copy = str(shutil.copytree(CACHE_DIR, tmp_path / "cache"))
+    names = METHOD_ORDER + ["oo-theta", "gcsa-frags"]
+    keys = set()
+    for molecule in FIXTURE_NAMES:
+        for kwargs in _VARIANTS.values():
+            p = prepare(molecule, cache_dir=copy, **kwargs)
+            cache = _MethodEngine(p, copy).cache
+            keys.update(cache.key(name) for name in names)
+            if p.split is not None:  # the split is keyed on the pre-split tensors
+                raw = prepare(molecule).tensors
+                keys.add(_Cache(copy, raw, p.optimizer).key("split"))
+    files = {f.removesuffix(".json") for f in os.listdir(CACHE_DIR)}
+    missing, orphaned = sorted(keys - files), sorted(files - keys)
+    assert not missing and not orphaned, (
+        f"keys with no file: {missing}; files with no key: {orphaned}"
+    )
 
 
 def test_every_entry_meets_spectral_floor():

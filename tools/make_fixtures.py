@@ -4,8 +4,8 @@
 Minimal-basis (STO-3G) integrals are computed from scratch with
 McMurchie-Davidson recursions, a restricted Hartree-Fock solution is
 converged with DIIS, and the MO-basis integrals are written in FCIDUMP
-format.  Run `--check` to compare a few H2 integrals at R = 1.4 bohr
-against textbook reference values.
+format with the package's own writer.  Run `--check` to compare a few H2
+integrals at R = 1.4 bohr against textbook reference values.
 
 This script is a one-off generator: the package itself only consumes the
 stored FCIDUMP files and never imports this module.
@@ -14,8 +14,12 @@ stored FCIDUMP files and never imports this module.
 import argparse
 import math
 import os
+import sys
 
 import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+from lcunorm.tensors import FcidumpRecord, write_fcidump  # noqa: E402
 
 ANGSTROM_TO_BOHR = 1.0 / 0.529177210903
 
@@ -383,26 +387,12 @@ def mo_fcidump(name, atoms_angstrom, outdir):
     g = np.einsum("qj,iqrs->ijrs", C, g, optimize=True)
     g = np.einsum("rk,ijrs->ijks", C, g, optimize=True)
     eri_mo = np.einsum("sl,ijks->ijkl", C, g, optimize=True)
+    # integrals at or below 1e-16 in magnitude are left out of the file
+    h_mo[np.abs(h_mo) <= 1e-16] = 0.0
+    eri_mo[np.abs(eri_mo) <= 1e-16] = 0.0
     path = os.path.join(outdir, f"{name}.fcidump")
     with open(path, "w") as fh:
-        fh.write(f" &FCI NORB={n},NELEC={nelec},MS2=0,\n")
-        fh.write("  ORBSYM=" + ",".join(["1"] * n) + ",\n")
-        fh.write("  ISYM=1,\n")
-        fh.write(" &END\n")
-        for i in range(n):
-            for j in range(i + 1):
-                for k in range(i + 1):
-                    lmax = j + 1 if k == i else k + 1
-                    for l in range(lmax):
-                        v = eri_mo[i, j, k, l]
-                        if abs(v) > 1e-16:
-                            fh.write(f" {v:.17g} {i + 1} {j + 1} {k + 1} {l + 1}\n")
-        for i in range(n):
-            for j in range(i + 1):
-                v = h_mo[i, j]
-                if abs(v) > 1e-16:
-                    fh.write(f" {v:.17g} {i + 1} {j + 1} 0 0\n")
-        fh.write(f" {e_nuc:.17g} 0 0 0 0\n")
+        fh.write(write_fcidump(FcidumpRecord(n, nelec, 0, e_nuc, h_mo, eri_mo)))
     print(f"{name}: norb={n} nelec={nelec} E(RHF)={e_elec + e_nuc:.10f} -> {path}")
 
 
