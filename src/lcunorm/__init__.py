@@ -21,14 +21,7 @@ from .fragments import (
 )
 from .grouping import AcGroup, AcPartition, sorted_insertion
 from .optimize import OptimizerConfig, minimize, oo_pauli
-from .pauli import (
-    PauliPolynomial,
-    PauliWord,
-    anticommutes,
-    jordan_wigner,
-    lambda_pauli,
-    lambda_pauli_closed_form,
-)
+from .pauli import PauliPolynomial, jordan_wigner, lambda_pauli_closed_form
 from .picture import PictureSplit, split_interaction
 from .pipeline import METHOD_ORDER, NormReport, emit_table, run_pipeline
 from .spectra import (
@@ -38,13 +31,11 @@ from .spectra import (
     spectral_range,
 )
 from .symshift import (
-    L1Problem,
     SymmetryShift,
     apply_shift,
     optimize_shift,
     shift_one_body,
     shift_two_body,
-    solve_l1,
     weighted_median,
 )
 from .tensors import (

@@ -78,46 +78,6 @@ class OrbitalRotation:
         if abs(np.linalg.det(self.u) - 1.0) > 1e-8:
             raise ValueError("rotation matrix must have determinant +1")
 
-    @property
-    def n_orb(self):
-        return self.u.shape[0]
-
-    @classmethod
-    def from_matrix(cls, u):
-        """Recover generator amplitudes from a special orthogonal matrix.
-
-        Uses the real Schur form, whose blocks are planar rotations (plus
-        paired -1 entries for angle-pi planes), so the antisymmetric
-        logarithm is real even when logm would branch.
-        """
-        u = np.asarray(u, dtype=float)
-        n = u.shape[0]
-        t, q = scipy.linalg.schur(u, output="real")
-        a_t = np.zeros((n, n))
-        minus_ones = []
-        p = 0
-        while p < n:
-            if p + 1 < n and abs(t[p + 1, p]) > 1e-12:
-                phi = np.arctan2(t[p + 1, p], t[p, p])
-                a_t[p, p + 1] = -phi
-                a_t[p + 1, p] = phi
-                p += 2
-            else:
-                if t[p, p] < 0:
-                    minus_ones.append(p)
-                p += 1
-        if len(minus_ones) % 2:
-            raise NumericalError("orthogonal matrix has determinant -1")
-        for p1, p2 in zip(minus_ones[::2], minus_ones[1::2]):
-            a_t[p1, p2] = -np.pi
-            a_t[p2, p1] = np.pi
-        a = q @ a_t @ q.T
-        a = 0.5 * (a - a.T)
-        if np.abs(_expm_antisym(a) - u).max() > 1e-8:
-            raise NumericalError("rotation log/exp round trip failed")
-        rows, cols = np.tril_indices(n, -1)
-        return cls(a[rows, cols], u)
-
 
 def make_rotation(theta):
     theta = np.asarray(theta, dtype=float)
@@ -143,9 +103,9 @@ def _rotate(u, obt, tbt):
 
 @dataclass
 class DfFragment:
-    """Rank-1 fragment: lam = sign * (eps outer eps) in the rotated basis."""
+    """Rank-1 fragment: lam = sign * (eps outer eps) in the orthonormal basis u."""
 
-    rotation: OrbitalRotation
+    u: np.ndarray
     eps: np.ndarray
     sign: float
 
@@ -180,7 +140,7 @@ def fragment_lambda_matrix(f):
 
 def fragment_tensor(f):
     """Two-body tensor sum_ab u_ia u_ja u_kb u_lb lam_ab of one fragment."""
-    u = f.rotation.u
+    u = f.u if isinstance(f, DfFragment) else f.rotation.u
     lam = fragment_lambda_matrix(f)
     w = np.einsum("ia,ja->ija", u, u)
     return np.einsum("ija,klb,ab->ijkl", w, w, lam, optimize=True)
@@ -209,17 +169,7 @@ def double_factorize(t, tol=1e-12):
         ell = v[:, k].reshape(n, n)
         ell = 0.5 * (ell + ell.T)
         d, u = np.linalg.eigh(ell)
-        if np.linalg.det(u) < 0:
-            u = u.copy()
-            u[:, -1] = -u[:, -1]
-            d = d.copy()  # eps sign flip is immaterial: eps enters quadratically
-        frags.append(
-            DfFragment(
-                OrbitalRotation.from_matrix(u),
-                np.sqrt(abs(w[k])) * d,
-                float(np.sign(w[k])),
-            )
-        )
+        frags.append(DfFragment(u, np.sqrt(abs(w[k])) * d, float(np.sign(w[k]))))
     return frags
 
 
@@ -393,38 +343,22 @@ def reflection_term_count(lam, cutoff):
 
 
 def fragments_to_json(frags):
+    """CSA fragments as JSON: rotation amplitudes, lam and, when set, mu."""
     docs = []
     for f in frags:
-        if isinstance(f, DfFragment):
-            docs.append(
-                {
-                    "kind": "df",
-                    "theta": f.rotation.theta.tolist(),
-                    "eps": f.eps.tolist(),
-                    "sign": f.sign,
-                }
-            )
-        else:
-            doc = {
-                "kind": "csa",
-                "theta": f.rotation.theta.tolist(),
-                "lam": f.lam.tolist(),
-            }
-            if f.mu is not None:
-                doc["mu"] = f.mu.tolist()
-            docs.append(doc)
+        doc = {"kind": "csa", "theta": f.rotation.theta.tolist(), "lam": f.lam.tolist()}
+        if f.mu is not None:
+            doc["mu"] = f.mu.tolist()
+        docs.append(doc)
     return json.dumps(docs)
 
 
 def fragments_from_json(text):
     frags = []
     for doc in json.loads(text):
-        rot = make_rotation(np.asarray(doc["theta"]))
-        if doc["kind"] == "df":
-            frags.append(DfFragment(rot, np.asarray(doc["eps"]), float(doc["sign"])))
-        elif doc["kind"] == "csa":
-            mu = np.asarray(doc["mu"]) if "mu" in doc else None
-            frags.append(CsaFragment(rot, np.asarray(doc["lam"]), mu))
-        else:
+        if doc["kind"] != "csa":
             raise ValueError(f"unknown fragment kind {doc['kind']!r}")
+        rot = make_rotation(np.asarray(doc["theta"]))
+        mu = np.asarray(doc["mu"]) if "mu" in doc else None
+        frags.append(CsaFragment(rot, np.asarray(doc["lam"]), mu))
     return frags

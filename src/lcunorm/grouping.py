@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliWord, anticommutes
+from .pauli import _word_string
 
 __all__ = ["AcGroup", "AcPartition", "sorted_insertion"]
 
@@ -28,38 +28,19 @@ class AcGroup:
     def norm(self):
         return float(np.sqrt((self.coeffs**2).sum()))
 
-    @property
-    def words(self):
-        return [PauliWord(self.n_qubits, x, z) for x, z in self.keys]
-
 
 @dataclass
 class AcPartition:
     n_qubits: int
     groups: list
 
-    @property
-    def n_groups(self):
-        return len(self.groups)
-
     def one_norm(self):
         return float(sum(g.norm for g in self.groups))
-
-    def validate(self):
-        """Raise ValueError unless every group is pairwise anticommuting."""
-        for gi, g in enumerate(self.groups):
-            words = g.words
-            for a in range(len(words)):
-                for b in range(a):
-                    if not anticommutes(words[a], words[b]):
-                        raise ValueError(
-                            f"group {gi}: {words[b]} and {words[a]} commute"
-                        )
 
 
 def _insertion_order(poly):
     items = [(xz, c) for xz, c in poly.raw_items() if xz != (0, 0)]
-    items.sort(key=lambda kc: (-abs(kc[1]), str(PauliWord(poly.n_qubits, *kc[0]))))
+    items.sort(key=lambda kc: (-abs(kc[1]), _word_string(poly.n_qubits, *kc[0])))
     return items
 
 

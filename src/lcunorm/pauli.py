@@ -6,28 +6,17 @@ carries X when bit q of x is set, Z when bit q of z is set, and Y when both
 are set; the word operator is the literal tensor product of those letters.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensors import _one_body_adjust
 
 __all__ = [
-    "PauliWord",
     "PauliPolynomial",
     "jordan_wigner",
-    "lambda_pauli",
     "lambda_pauli_closed_form",
-    "anticommutes",
 ]
 
 _LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
-_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 PRUNE_TOL = 1e-14
 
 
@@ -44,56 +33,9 @@ def _mul_masks(x1, z1, x2, z2):
     return k, x3, z3
 
 
-@dataclass(frozen=True)
-class PauliWord:
-    n_qubits: int
-    x: int = 0
-    z: int = 0
-
-    @classmethod
-    def from_string(cls, s):
-        x = z = 0
-        for q, ch in enumerate(s):
-            if ch in ("X", "Y"):
-                x |= 1 << q
-            if ch in ("Z", "Y"):
-                z |= 1 << q
-            if ch not in "IXYZ":
-                raise ValueError(f"bad Pauli letter {ch!r}")
-        return cls(len(s), x, z)
-
-    def __str__(self):
-        return "".join(
-            _LETTERS[((self.x >> q) & 1) + 2 * ((self.z >> q) & 1)] for q in range(self.n_qubits)
-        )
-
-    @property
-    def is_identity(self):
-        return self.x == 0 and self.z == 0
-
-    @property
-    def weight(self):
-        return (self.x | self.z).bit_count()
-
-    def __mul__(self, other):
-        """Returns (phase, word) with self*other = phase * word."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit count mismatch")
-        k, x3, z3 = _mul_masks(self.x, self.z, other.x, other.z)
-        return 1j**k, PauliWord(self.n_qubits, x3, z3)
-
-    def to_matrix(self):
-        m = np.eye(1, dtype=complex)
-        for q in range(self.n_qubits):
-            m = np.kron(_MATS[_LETTERS[((self.x >> q) & 1) + 2 * ((self.z >> q) & 1)]], m)
-        return m
-
-
-def anticommutes(a, b):
-    """True iff words a and b anticommute (odd number of clashing letters)."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("qubit count mismatch")
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 1
+def _word_string(n_qubits, x, z):
+    """Letters of the word (x, z), qubit 0 first."""
+    return "".join(_LETTERS[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in range(n_qubits))
 
 
 class PauliPolynomial:
@@ -105,52 +47,13 @@ class PauliPolynomial:
 
     def __init__(self, n_qubits, terms=None):
         self.n_qubits = n_qubits
-        self._terms = {}
-        if terms:
-            for key, c in terms.items():
-                if isinstance(key, PauliWord):
-                    key = (key.x, key.z)
-                if abs(c) >= PRUNE_TOL:
-                    self._terms[key] = float(c)
+        self._terms = {key: float(c) for key, c in (terms or {}).items() if abs(c) >= PRUNE_TOL}
 
     def __len__(self):
         return len(self._terms)
 
-    def coefficient(self, word):
-        return self._terms.get((word.x, word.z), 0.0)
-
-    @property
-    def identity_coefficient(self):
-        return self._terms.get((0, 0), 0.0)
-
-    @property
-    def n_terms_nonidentity(self):
-        return len(self._terms) - (1 if (0, 0) in self._terms else 0)
-
-    def items(self):
-        """(PauliWord, coefficient) pairs in stable lexicographic word order."""
-        out = [(PauliWord(self.n_qubits, x, z), c) for (x, z), c in self._terms.items()]
-        out.sort(key=lambda wc: str(wc[0]))
-        return out
-
     def raw_items(self):
         return self._terms.items()
-
-    def to_matrix(self):
-        dim = 1 << self.n_qubits
-        m = np.zeros((dim, dim), dtype=complex)
-        for word, c in self.items():
-            m += c * word.to_matrix()
-        return m
-
-    def dumps(self):
-        """One term per line, 'coefficient letters', lexicographic word order."""
-        return "\n".join(f"{c:.16g} {word}" for word, c in self.items())
-
-
-def lambda_pauli(p):
-    """LCU 1-norm of a Pauli polynomial: sum of |c| over non-identity words."""
-    return sum(abs(c) for key, c in p.raw_items() if key != (0, 0))
 
 
 def _ladder_terms(p, dagger):

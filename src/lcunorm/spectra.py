@@ -10,14 +10,14 @@ boundary.
 
 The tensors are spin-free, so swapping the spins maps sector (na, nb)
 onto (nb, na), and the two share one spectrum; `spectral_range` therefore
-diagonalizes only the sectors with nb <= na.  A sector's operator data are
-the excitation stacks D_x = E_pq and A_x = sum_y g[y, x] D_y of each spin,
-one copy of each: D as an (n^2, d, d) array and A in the flattened
-(d, n^2 d) layout it is contracted in, so that the Lanczos matvec runs as
-four GEMMs and the dense assembly as one.  That data grows as
-n^2 d^2, so `spectral_range` estimates the bytes of its largest sector
-first and raises NumericalError above `_SECTOR_BYTES_LIMIT` (1 GiB)
-instead of allocating it.
+diagonalizes only the sectors with nb <= na.  Inside a sector the
+Hamiltonian is a same-spin operator for each spin plus one cross-spin sum
+sum_y D_y (x) At_y, beta excitations D_y = E_pq against alpha partners At_y
+weighted by g + g.T.  A sector keeps only those two stacks, so the Lanczos
+matvec runs as two GEMMs and the dense assembly as one batched GEMM.  That
+data grows as n^2 d^2, so `spectral_range` estimates the peak bytes of its
+largest sector first and raises NumericalError above `_SECTOR_BYTES_LIMIT`
+(1 GiB) instead of allocating it.
 """
 
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ _DENSE_LIMIT_QUBITS = 14  # full-Fock size threshold for the all-dense path
 _DENSE_BLOCK_DIM = 400  # iterative path still diagonalizes small blocks densely
 _LANCZOS_CAP = 300
 _LANCZOS_TOL = 1e-7
-_SECTOR_BYTES_LIMIT = 1 << 30  # operator data one sector may take
+_SECTOR_BYTES_LIMIT = 1 << 30  # memory one sector may take
 
 
 def _sector_basis(n, k):
@@ -72,26 +72,32 @@ def _excitation_stack(n, masks):
     return stack
 
 
-def _spin_block(t, masks):
-    """Operator data of one spin species on the span of `masks`: the stack
-    D[x] = E_pq (x = p*n + q), the stack A[x] = sum_y g[y, x] D[y] held in
-    its GEMM layout a_rows[A, (x, B)] = A[x][A, B], and sum_x h_x D[x]."""
+def _spin_parts(t, masks):
+    """One spin species on the span of `masks`: the excitation stack
+    D[x] = E_pq (x = p*n + q) and the same-spin operator
+    sum_x h_x D_x + sum_xy g[y, x] D_y D_x."""
     n = t.n_orb
     d = _excitation_stack(n, masks)
     g = t.tbt.reshape(n * n, n * n)
+    # A[x] = sum_y g[y, x] D[y] in its GEMM layout a_rows[A, (x, B)]
     a_rows = np.matmul(g.T, d.transpose(1, 0, 2)).reshape(len(masks), -1)
-    m = (t.obt.reshape(-1) @ d.reshape(n * n, -1)).reshape(len(masks), len(masks))
-    return d, a_rows, m
+    h = a_rows @ d.reshape(-1, len(masks))
+    h += (t.obt.reshape(-1) @ d.reshape(n * n, -1)).reshape(h.shape)
+    return d, h
 
 
 class _Sector:
     """All operator data for one (n_alpha, n_beta) block.
 
     A sector vector is held as a (db, da) matrix v[B, a], so an operator
-    X_beta (x) Y_alpha acts as X @ v @ Y.T.  The Hamiltonian is
-    e0 + sum_x h_x D_x + sum_x A_x D_x, with D and A summed over both spins.
-    Each spin keeps one copy of each stack, so the data of a sector with
-    n_alpha == n_beta is shared by both spins.
+    X_beta (x) Y_alpha acts as X @ v @ Y.T.  With E_x = D_x[alpha] +
+    D_x[beta], the Hamiltonian e0 + sum_x h_x E_x + sum_xy g[y, x] E_y E_x
+    splits into the same-spin operators `ha` (e0 folded in) and `hb` and
+    the cross-spin sum_y D_y[beta] (x) At_y[alpha], where
+    At_y = sum_x (g + g.T)[y, x] D_x collects both orderings of the pair
+    exactly, whatever the symmetry of g.  The sector keeps D[beta] as
+    d_rows[B, (B', y)] and At[alpha] as at_cols[a', (y, a)], the layouts
+    in which each is one GEMM operand.
     """
 
     def __init__(self, t, n_alpha, n_beta):
@@ -101,44 +107,39 @@ class _Sector:
         self.da = len(self.masks_a)
         self.db = len(self.masks_b)
         self.dim = self.da * self.db
-        self.d_a, self.a_a_rows, self.m_a = _spin_block(t, self.masks_a)
-        if n_beta == n_alpha:
-            self.d_b, self.a_b_rows, self.m_b = self.d_a, self.a_a_rows, self.m_a
-        else:
-            self.d_b, self.a_b_rows, self.m_b = _spin_block(t, self.masks_b)
-        self.e0 = t.e0
+        d, self.hb = _spin_parts(t, self.masks_b)
+        self.d_rows = d.transpose(1, 2, 0).reshape(self.db, -1)
+        h_a = self.hb
+        if n_alpha != n_beta:
+            del d  # the beta stack lives on only as d_rows
+            d, h_a = _spin_parts(t, self.masks_a)
+        self.ha = h_a + t.e0 * np.eye(self.da)
+        g = t.tbt.reshape(n * n, n * n)
+        # At_y[a, a'] = sum_x G[y, x] D_x[a, a'] = sum_x G[y, x^T] D_x[a', a],
+        # since D_x.T = D_(x^T), so the batched GEMM runs on contiguous rows
+        g_sym = (g + g.T).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
+        self.at_cols = np.matmul(g_sym, d.transpose(1, 0, 2)).reshape(self.da, -1)
 
     def dense(self):
-        nn, da, db = len(self.d_a), self.da, self.db
-        a_a = self.a_a_rows.reshape(da, nn, da).transpose(1, 0, 2)
-        a_b = self.a_b_rows.reshape(db, nn, db).transpose(1, 0, 2)
-        eye_a, eye_b = np.eye(da), np.eye(db)
-        ha = self.m_a + np.tensordot(a_a, self.d_a, axes=([0, 2], [0, 1]))
-        hb = self.m_b + np.tensordot(a_b, self.d_b, axes=([0, 2], [0, 1]))
-        ha += self.e0 * eye_a
-        # h[(A, a), (B, b)] = sum_k left_k[A, B] right_k[a, b] over the cross
-        # terms D_x (x) A_x and A_x (x) D_x, then 1 (x) ha and hb (x) 1: one
-        # GEMM and one transpose, holding two dim x dim arrays at most
-        left = np.concatenate([self.d_b, a_b, eye_b[None], hb[None]])
-        right = np.concatenate([a_a, self.d_a, ha[None], eye_a[None]])
-        h = (left.reshape(-1, db * db).T @ right.reshape(-1, da * da)).reshape(
-            db, db, da, da
-        )
-        return h.transpose(0, 2, 1, 3).reshape(self.dim, self.dim)
+        da, db = self.da, self.db
+        # h[(B, a), (B', a')] = sum_k left_k[B, B'] right_k[a, a'] over the
+        # cross terms D_y (x) At_y, then 1 (x) ha and hb (x) 1: one batched
+        # GEMM, a (db x k) @ (k x da) product per (B, a), that writes h in
+        # its final layout with no transposed copy
+        d_b = self.d_rows.reshape(db, db, -1).transpose(2, 0, 1)
+        at_a = self.at_cols.reshape(da, -1, da).transpose(1, 2, 0)
+        left = np.concatenate([d_b, np.eye(db)[None], self.hb[None]])
+        right = np.concatenate([at_a, self.ha[None], np.eye(da)[None]])
+        h = np.matmul(left.transpose(1, 2, 0)[:, None], right.transpose(1, 0, 2)[None])
+        return h.reshape(self.dim, self.dim)
 
     def matvec(self, vec):
-        nn, da, db = len(self.d_a), self.da, self.db
-        v = vec.reshape(db, da)
-        w = self.m_b @ v + v @ self.m_a.T + self.e0 * v
-        # D_x v = D_x[beta] @ v + (D_x[alpha] @ v.T).T, in both orientations:
-        # t_b[x] = D_x v and t_a[x] = (D_x v).T
-        t_b = (self.d_b.reshape(nn * db, db) @ v).reshape(nn, db, da)
-        t_a = (self.d_a.reshape(nn * da, da) @ v.T).reshape(nn, da, db)
-        t_a += t_b.transpose(0, 2, 1)
-        t_b[...] = t_a.transpose(0, 2, 1)
-        # sum_x A_x[beta] t_b[x] + (sum_x A_x[alpha] t_a[x]).T
-        w += self.a_b_rows @ t_b.reshape(nn * db, da)
-        w += (self.a_a_rows @ t_a.reshape(nn * da, db)).T
+        v = vec.reshape(self.db, self.da)
+        w = self.hb @ v + v @ self.ha.T
+        # sum_y D_y[beta] @ v @ At_y[alpha].T: the second GEMM contracts
+        # (B', y), the first's output rows read as that pair
+        t = v @ self.at_cols
+        w += self.d_rows @ t.reshape(-1, self.da)
         return w.ravel()
 
 
@@ -188,7 +189,6 @@ def _tridiag_eig(alphas, betas):
 class SpectralRange:
     e_min: float
     e_max: float
-    method: str
     residual: float
 
     def __post_init__(self):
@@ -200,64 +200,62 @@ class SpectralRange:
         return 0.5 * (self.e_max - self.e_min)
 
 
-def _dense_sector(n, na, nb, method):
-    return method == "dense" or comb(n, na) * comb(n, nb) <= _DENSE_BLOCK_DIM
+def _dense_sector(n, na, nb):
+    return 2 * n <= _DENSE_LIMIT_QUBITS or comb(n, na) * comb(n, nb) <= _DENSE_BLOCK_DIM
 
 
-def _sector_bytes(n, na, nb, method):
-    """Estimated bytes of one sector's operator data: the D and A stacks of
-    both spins, plus the work arrays of the path that diagonalizes it (the
-    two D_x v stacks of a matvec, or the GEMM operands of dense() and the
-    dim x dim arrays that it and eigvalsh hold at once)."""
+def _sector_bytes(n, na, nb):
+    """Estimated peak bytes of one sector: its operator data (the d_rows and
+    at_cols stacks) plus the larger of the stack held only while they are
+    built and the work arrays of the path that diagonalizes it (the GEMM
+    operands of dense(), its dim x dim result and the copy eigvalsh makes,
+    or a matvec's intermediate and the Lanczos basis with the copy that
+    each step makes of it)."""
     da, db = comb(n, na), comb(n, nb)
-    stacks = 2 * n * n * (da * da + db * db)
-    if _dense_sector(n, na, nb, method):
-        work = stacks + 3 * (da * db) ** 2
+    dim = da * db
+    stacks = n * n * (da * da + db * db)
+    build = n * n * max(da * da, db * db)
+    if _dense_sector(n, na, nb):
+        work = (n * n + 2) * (da * da + db * db) + 2 * dim * dim
     else:
-        work = 2 * n * n * da * db
-    return 8 * (stacks + work)
+        work = n * n * dim + 2 * min(dim, _LANCZOS_CAP) * dim
+    return 8 * (stacks + max(build, work))
 
 
-def _check_size(n, method):
+def _check_size(n):
     """Raise before any allocation if the largest sector would not fit."""
     sizes = {
-        (na, nb): _sector_bytes(n, na, nb, method)
-        for na in range(n + 1)
-        for nb in range(na + 1)
+        (na, nb): _sector_bytes(n, na, nb) for na in range(n + 1) for nb in range(na + 1)
     }
     (na, nb), size = max(sizes.items(), key=lambda item: item[1])
     if size > _SECTOR_BYTES_LIMIT:
         raise NumericalError(
             f"spectral range: sector (n_alpha={na}, n_beta={nb}) needs about "
-            f"{size / 2**30:.1f} GiB of operator data, above the "
+            f"{size / 2**30:.1f} GiB, above the "
             f"{_SECTOR_BYTES_LIMIT / 2**30:.0f} GiB limit",
             payload={"sector": (na, nb), "bytes": size},
         )
 
 
-def spectral_range(t, method=None):
+def spectral_range(t):
     """Extremes of the Hamiltonian over the whole Fock space.
 
     Dense per-sector diagonalization up to 14 spin-orbitals; above that,
-    Lanczos on the large sectors (small ones stay dense).  `method` forces
-    a path ("dense"/"iterative") for cross-checks.  Only sectors with
-    n_beta <= n_alpha are diagonalized: swapping the spins of the spin-free
-    tensors maps sector (na, nb) onto (nb, na), so both have one spectrum.
-    Raises NumericalError, before building any sector, when the largest
-    sector's operator data would exceed `_SECTOR_BYTES_LIMIT`.
+    Lanczos on the sectors of more than 400 states (smaller ones stay
+    dense).  Only sectors with n_beta <= n_alpha are diagonalized:
+    swapping the spins of the spin-free tensors maps sector (na, nb) onto
+    (nb, na), so both have one spectrum.  Raises NumericalError, before
+    building any sector, when the largest sector would exceed
+    `_SECTOR_BYTES_LIMIT`.
     """
     n = t.n_orb
-    if method is None:
-        method = "dense" if 2 * n <= _DENSE_LIMIT_QUBITS else "iterative"
-    if method not in ("dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
-    _check_size(n, method)
+    _check_size(n)
     e_min, e_max = np.inf, -np.inf
     worst = 0.0
     for na in range(n + 1):
         for nb in range(na + 1):
             sec = _Sector(t, na, nb)
-            if _dense_sector(n, na, nb, method):
+            if _dense_sector(n, na, nb):
                 vals = np.linalg.eigvalsh(sec.dense())
                 lo, hi = float(vals[0]), float(vals[-1])
             else:
@@ -265,7 +263,7 @@ def spectral_range(t, method=None):
                 worst = max(worst, res)
             e_min = min(e_min, lo)
             e_max = max(e_max, hi)
-    return SpectralRange(e_min, e_max, method, worst)
+    return SpectralRange(e_min, e_max, worst)
 
 
 class FockOperator:

@@ -4,18 +4,22 @@ The dense Fock-space operators are deliberately slow and literal: ladder
 matrices built entry by entry in the occupation basis (bit p of the basis
 index is the occupation of spin-orbital p = 2*i + sigma), Hamiltonians
 assembled by explicit loops.  Usable up to ~12 modes.  The rest is code
-that the library does not run: spin-resolved two-electron tensors, the
-Majorana-operator route to Pauli words, the dense reflection of an
-anticommuting group and the spectrum at a fixed electron number.
+that the library does not run: spin-resolved two-electron tensors, Pauli
+words with their products and matrices, the Majorana-operator route to
+Pauli words, the pairwise check and the dense reflection of an
+anticommuting group, the spectrum at a fixed electron number, and the
+symmetry-shift problem as a linear program.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from lcunorm.errors import NumericalError
 from lcunorm.grouping import sorted_insertion
-from lcunorm.pauli import PRUNE_TOL, PauliPolynomial, _mul_masks
+from lcunorm.pauli import PRUNE_TOL, PauliPolynomial, _mul_masks, _word_string
 from lcunorm.spectra import _Sector
+from lcunorm.symshift import weighted_median
 from lcunorm.tensors import SpatialTensors
 
 # ---- spin-resolved two-electron tensors -----------------------------------
@@ -203,6 +207,109 @@ def random_spin2e(n, rng, scale=1.0):
     return SpinTensor2e(block(), block())
 
 
+# ---- Pauli words and polynomials as dense matrices -------------------------
+
+_MATS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+@dataclass(frozen=True)
+class PauliWord:
+    n_qubits: int
+    x: int = 0
+    z: int = 0
+
+    @classmethod
+    def from_string(cls, s):
+        x = z = 0
+        for q, ch in enumerate(s):
+            if ch in ("X", "Y"):
+                x |= 1 << q
+            if ch in ("Z", "Y"):
+                z |= 1 << q
+            if ch not in "IXYZ":
+                raise ValueError(f"bad Pauli letter {ch!r}")
+        return cls(len(s), x, z)
+
+    def __str__(self):
+        return _word_string(self.n_qubits, self.x, self.z)
+
+    @property
+    def is_identity(self):
+        return self.x == 0 and self.z == 0
+
+    @property
+    def weight(self):
+        return (self.x | self.z).bit_count()
+
+    def __mul__(self, other):
+        """Returns (phase, word) with self*other = phase * word."""
+        if self.n_qubits != other.n_qubits:
+            raise ValueError("qubit count mismatch")
+        k, x3, z3 = _mul_masks(self.x, self.z, other.x, other.z)
+        return 1j**k, PauliWord(self.n_qubits, x3, z3)
+
+    def to_matrix(self):
+        m = np.eye(1, dtype=complex)
+        for letter in str(self):
+            m = np.kron(_MATS[letter], m)
+        return m
+
+
+def anticommutes(a, b):
+    """True iff words a and b anticommute (odd number of clashing letters)."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError("qubit count mismatch")
+    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 1
+
+
+def pauli_polynomial(n_qubits, terms):
+    """PauliPolynomial from {word string: coefficient}."""
+    words = {PauliWord.from_string(s): c for s, c in terms.items()}
+    return PauliPolynomial(n_qubits, {(w.x, w.z): c for w, c in words.items()})
+
+
+def lambda_pauli(p):
+    """LCU 1-norm of a Pauli polynomial: sum of |c| over non-identity words."""
+    return sum(abs(c) for key, c in p.raw_items() if key != (0, 0))
+
+
+def poly_items(p):
+    """(PauliWord, coefficient) pairs in lexicographic word order."""
+    out = [(PauliWord(p.n_qubits, x, z), c) for (x, z), c in p.raw_items()]
+    out.sort(key=lambda wc: str(wc[0]))
+    return out
+
+
+def coefficient(p, word):
+    return dict(p.raw_items()).get((word.x, word.z), 0.0)
+
+
+def identity_coefficient(p):
+    return coefficient(p, PauliWord(p.n_qubits))
+
+
+def n_terms_nonidentity(p):
+    return sum(1 for key, _ in p.raw_items() if key != (0, 0))
+
+
+def poly_matrix(p):
+    dim = 1 << p.n_qubits
+    m = np.zeros((dim, dim), dtype=complex)
+    for word, c in poly_items(p):
+        m += c * word.to_matrix()
+    return m
+
+
+def dumps(p):
+    """One term per line, 'coefficient letters', lexicographic word order."""
+    return "\n".join(f"{c:.16g} {word}" for word, c in poly_items(p))
+
+
 # ---- Majorana algebra: a second route from tensors to Pauli words ---------
 
 
@@ -375,6 +482,20 @@ def lambda_ac(obj):
     return obj.one_norm()
 
 
+def group_words(group):
+    return [PauliWord(group.n_qubits, x, z) for x, z in group.keys]
+
+
+def validate_partition(part):
+    """Raise ValueError unless every group is pairwise anticommuting."""
+    for gi, g in enumerate(part.groups):
+        words = group_words(g)
+        for a in range(len(words)):
+            for b in range(a):
+                if not anticommutes(words[a], words[b]):
+                    raise ValueError(f"group {gi}: {words[b]} and {words[a]} commute")
+
+
 def group_angles(group):
     """theta_k = arcsin(c_k / sqrt(sum_{i<=k} c_i^2)) / 2, one per member."""
     partial = np.sqrt(np.cumsum(group.coeffs**2))
@@ -389,7 +510,7 @@ def group_unitary(group):
     """
     dim = 1 << group.n_qubits
     eye = np.eye(dim, dtype=complex)
-    mats = [w.to_matrix() for w in group.words]
+    mats = [w.to_matrix() for w in group_words(group)]
     thetas = group_angles(group)
 
     def rot(th, p):
@@ -417,3 +538,59 @@ def sector_spectrum(t, n_elec):
             sec = _Sector(t, na, nb)
             out.append(np.linalg.eigvalsh(sec.dense()))
     return np.sort(np.concatenate(out))
+
+
+# ---- the symmetry-shift problem as a linear program ------------------------
+
+
+@dataclass
+class L1Problem:
+    """min over s of sum_nu weights_nu |lam_nu - sum_u s_u tau[u, nu]|."""
+
+    lam: np.ndarray
+    tau: np.ndarray
+    weights: np.ndarray = None
+
+    def __post_init__(self):
+        self.lam = np.asarray(self.lam, dtype=float).ravel()
+        self.tau = np.atleast_2d(np.asarray(self.tau, dtype=float))
+        if self.weights is None:
+            self.weights = np.ones_like(self.lam)
+        self.weights = np.asarray(self.weights, dtype=float).ravel()
+        if self.tau.shape[1] != self.lam.size or self.weights.size != self.lam.size:
+            raise ValueError("inconsistent L1Problem dimensions")
+        if self.tau.shape[0] < 1:
+            raise ValueError("need at least one symmetry")
+        if np.any(self.weights <= 0):
+            raise ValueError("weights must be positive")
+
+    def objective(self, s):
+        resid = self.lam - np.asarray(s, dtype=float) @ self.tau
+        return float(self.weights @ np.abs(resid))
+
+
+def solve_l1(prob):
+    """Global minimizer (s, objective) of the weighted l1 problem for any tau,
+    as the linear program over (s, t): minimize w.t subject to
+    tau^T s - t <= lam and -tau^T s - t <= -lam."""
+    from scipy.optimize import linprog
+
+    n_s = prob.tau.shape[0]
+    n_c = prob.lam.size
+    c = np.concatenate([np.zeros(n_s), prob.weights])
+    tt = prob.tau.T
+    eye = np.eye(n_c)
+    a_ub = np.block([[tt, -eye], [-tt, -eye]])
+    b_ub = np.concatenate([prob.lam, -prob.lam])
+    bounds = [(None, None)] * n_s + [(0, None)] * n_c
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        raise NumericalError(f"l1 linear program failed: {res.message}")
+    return res.x[:n_s], float(res.fun)
+
+
+def solve_l1_median(prob):
+    """(s, objective) by the library's weighted median, which is the minimum
+    when tau is a single constant row (the electron-number shift)."""
+    s = np.array([weighted_median(prob.lam / prob.tau[0, 0], prob.weights)])
+    return s, prob.objective(s)

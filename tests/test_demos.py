@@ -1,20 +1,32 @@
 """The demos take seconds to minutes each, so the suite does not run them.
-It checks instead that every name they import from lcunorm still exists."""
+It checks instead that every name they, and the README's python examples,
+import from lcunorm still exists."""
 
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def _source(path):
+    """A demo's code, or the README's ```python blocks joined."""
+    text = path.read_text()
+    if path.suffix == ".md":
+        return "\n".join(re.findall(r"```python\n(.*?)```", text, re.S))
+    return text
+
+
+@pytest.mark.parametrize("path", DEMOS + [README], ids=lambda p: p.stem)
 def test_demo_imports_exist(path):
     imports = [
         node
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(ast.parse(_source(path)))
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lcunorm"
     ]
     assert imports, f"{path.name} imports nothing from lcunorm"

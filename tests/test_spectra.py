@@ -1,6 +1,7 @@
 """Spectral-range, sector, and minimal-LCU tests against dense oracles."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lcunorm.spectra import (
     FockOperator,
     SpectralRange,
     _Sector,
+    _lanczos_extremes,
     minimal_lcu,
     spectral_range,
 )
@@ -27,6 +29,15 @@ def test_fock_operator_matches_oracle():
     for n in (1, 2):
         t = random_spatial(n, rng)
         assert np.max(np.abs(FockOperator(t).dense() - dense_hamiltonian(t))) < 1e-10
+
+
+def test_sector_operator_is_exact_for_any_two_body_tensor():
+    # the cross-spin partners are weighted by g + g.T, which holds without
+    # the ij<->kl symmetry that SpatialTensors enforces, so bypass it
+    rng = np.random.default_rng(8)
+    obt = rng.normal(size=(2, 2))
+    t = SimpleNamespace(n_orb=2, e0=0.3, obt=obt + obt.T, tbt=rng.normal(size=(2,) * 4))
+    assert np.max(np.abs(FockOperator(t).dense() - dense_hamiltonian(t))) < 1e-10
 
 
 def test_fock_apply_matches_dense():
@@ -73,25 +84,35 @@ def test_identity_hamiltonian_has_zero_range():
 
 def test_spectral_range_validates():
     with pytest.raises(ValueError):
-        SpectralRange(1.0, 0.0, "dense", 0.0)
-    with pytest.raises(ValueError):
-        spectral_range(chemist("h2"), method="bogus")
+        SpectralRange(1.0, 0.0, 0.0)
+
+
+def _lih_lanczos_sectors():
+    # every LiH sector is below the dense-path size, so spectral_range never
+    # runs Lanczos on LiH; these sectors are large enough to need many steps
+    t = chemist("lih")
+    n = t.n_orb
+    for na in range(n + 1):
+        for nb in range(na + 1):
+            sec = _Sector(t, na, nb)
+            if sec.dim >= 50:
+                yield (na, nb), sec
 
 
 def test_iterative_agrees_with_dense():
-    t = chemist("lih")
-    d = spectral_range(t, method="dense")
-    it = spectral_range(t, method="iterative")
-    assert it.residual < 1e-7
-    assert abs(d.e_min - it.e_min) < 1e-7
-    assert abs(d.e_max - it.e_max) < 1e-7
+    for key, sec in _lih_lanczos_sectors():
+        vals = np.linalg.eigvalsh(sec.dense())
+        lo, hi, res = _lanczos_extremes(sec.matvec, sec.dim)
+        assert res < 1e-7, key
+        assert abs(lo - vals[0]) < 1e-7, key
+        assert abs(hi - vals[-1]) < 1e-7, key
 
 
 def test_iterative_is_deterministic():
-    t = chemist("lih")
-    a = spectral_range(t, method="iterative")
-    b = spectral_range(t, method="iterative")
-    assert a.e_min == b.e_min and a.e_max == b.e_max
+    for key, sec in _lih_lanczos_sectors():
+        assert _lanczos_extremes(sec.matvec, sec.dim) == _lanczos_extremes(
+            sec.matvec, sec.dim
+        ), key
 
 
 def test_minimal_lcu_reassembles_and_meets_bound():

@@ -5,18 +5,23 @@ import pytest
 
 from lcunorm.pauli import lambda_pauli_closed_form
 from lcunorm.symshift import (
-    L1Problem,
     SymmetryShift,
     apply_shift,
     optimize_shift,
     shift_one_body,
     shift_two_body,
-    solve_l1,
     weighted_median,
 )
 from lcunorm.tensors import load_fixture, to_chemist
 
-from oracles import dense_hamiltonian, number_total, random_spatial
+from oracles import (
+    L1Problem,
+    dense_hamiltonian,
+    number_total,
+    random_spatial,
+    solve_l1,
+    solve_l1_median,
+)
 
 
 def chemist(name):
@@ -60,17 +65,15 @@ def test_lp_matches_median_on_number_problems():
             np.full((1, m), rng.uniform(0.5, 2.0)),
             rng.uniform(0.2, 4.0, size=m),
         )
-        s_med, f_med = solve_l1(prob, method="median")
-        s_lp, f_lp = solve_l1(prob, method="lp")
+        s_med, f_med = solve_l1_median(prob)
+        s_lp, f_lp = solve_l1(prob)
         assert abs(f_med - f_lp) < 1e-9
         assert prob.objective(s_lp) <= f_med + 1e-9
 
 
-def test_solve_l1_rejects_bad_median_request():
+def test_solve_l1_handles_a_nonconstant_symmetry_row():
     prob = L1Problem(np.ones(2), np.array([[1.0, 2.0]]))
-    with pytest.raises(ValueError):
-        solve_l1(prob, method="median")
-    s, f = solve_l1(prob, method="auto")  # falls back to the LP
+    s, f = solve_l1(prob)
     assert f <= prob.objective([0.0]) + 1e-9
 
 
