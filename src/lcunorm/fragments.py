@@ -10,6 +10,7 @@ unitarization, complete-square) live here too.
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -47,9 +48,18 @@ def _n_from_theta(k):
     return n
 
 
+@lru_cache(maxsize=None)
+def _tril(n, k=0):
+    """np.tril_indices(n, k), built once per (n, k) and read-only."""
+    rows, cols = np.tril_indices(n, k)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def _antisymmetric(theta, n):
     a = np.zeros((n, n))
-    rows, cols = np.tril_indices(n, -1)
+    rows, cols = _tril(n, -1)
     a[rows, cols] = theta
     a[cols, rows] = -np.asarray(theta)
     return a
@@ -90,15 +100,21 @@ def rotate_tensors(r, t):
     u on every index of the two-body tensor.  Fock spectrum is preserved."""
     if r.u.shape[0] != t.n_orb:
         raise ValueError("rotation dimension does not match tensors")
-    return SpatialTensors(t.e0, *_rotate(r.u, t.obt, t.tbt))
+    obt, tbt, _ = _rotate(r.u, t.obt, t.tbt)
+    return SpatialTensors(t.e0, obt, tbt)
 
 
 def _rotate(u, obt, tbt):
-    # one GEMM per two-body index; each contraction moves the rotated index
-    # last, so four of them restore the original index order
-    for _ in range(4):
-        tbt = np.tensordot(tbt, u, axes=([0], [1]))
-    return u @ obt @ u.T, tbt
+    """(u obt u^T, tbt with u on every index, tbt with u on its first three
+    indices as part[l, a, b, c]).
+
+    One GEMM per two-body index: each contraction moves the rotated index
+    last, so four of them restore the original index order.
+    """
+    part = tbt
+    for _ in range(3):
+        part = np.tensordot(part, u, axes=([0], [1]))
+    return u @ obt @ u.T, np.tensordot(part, u, axes=([0], [1])), part
 
 
 @dataclass
@@ -177,9 +193,18 @@ def _pack_dim(n):
     return n * (n + 1) // 2
 
 
+@lru_cache(maxsize=None)
+def _pack_weights(n):
+    """Weight of each packed lam entry in the full matrix: 1 on the diagonal, 2 off it."""
+    rows, cols = _tril(n)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    weights.flags.writeable = False
+    return weights
+
+
 def _unpack_sym(p, n):
     lam = np.zeros((n, n))
-    rows, cols = np.tril_indices(n)
+    rows, cols = _tril(n)
     lam[rows, cols] = p
     lam[cols, rows] = p
     return lam
@@ -211,8 +236,7 @@ def _fragment_fit(x, tbt, obt=None):
     cost = (diff * diff).sum()
     d = 2.0 * diff
     # lam gradient: W^T D W, folded onto the packed symmetric storage
-    rows, cols = np.tril_indices(n)
-    glam = np.where(rows == cols, 1.0, 2.0) * (w.T @ d @ w)[rows, cols]
+    glam = _pack_weights(n) * (w.T @ d @ w)[_tril(n)]
     # u gradient: 4 einsum('ija,ja->ia') of (D W lam) against u
     m = (d @ w @ lam).reshape(n, n, n)
     gu = 4.0 * np.einsum("ija,ja->ia", m, u)
@@ -222,11 +246,18 @@ def _fragment_fit(x, tbt, obt=None):
         cost = (da * da).sum() + cost
         gmu = 2.0 * np.einsum("ia,ij,ja->a", u, da, u)
         gu = gu + 4.0 * da @ (u * mu)
-    # theta chain rule through the exponential (Frechet adjoint)
+    return float(cost), np.concatenate([_theta_grad(a, gu), gmu, glam])
+
+
+def _theta_grad(a, gu):
+    """Gradient in theta of a cost of u = expm(a), given its gradient gu in u.
+
+    The adjoint of the exponential's Frechet derivative at a is the
+    derivative at a^T; theta_(i>j) enters a at (i, j) and, negated, at (j, i).
+    """
     z = scipy.linalg.expm_frechet(a.T, gu, compute_expm=False)
-    r2, c2 = np.tril_indices(n, -1)
-    gtheta = z[r2, c2] - z[c2, r2]
-    return float(cost), np.concatenate([gtheta, gmu, glam])
+    rows, cols = _tril(a.shape[0], -1)
+    return z[rows, cols] - z[cols, rows]
 
 
 _CSA_RESTARTS = 3  # fresh starts per fragment before CSA declares stagnation

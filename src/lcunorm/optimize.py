@@ -1,12 +1,13 @@
 """BFGS minimization wrapper and orbital-rotation 1-norm optimization."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.optimize
 
 from .errors import NumericalError
-from .fragments import _antisymmetric, _expm_antisym, _rotate, theta_dim
+from .fragments import _antisymmetric, _expm_antisym, _rotate, _theta_grad, theta_dim
 from .pauli import _closed_form, lambda_pauli_closed_form
 
 __all__ = ["OptimizerConfig", "minimize", "oo_pauli"]
@@ -77,45 +78,61 @@ def minimize(f, x0, cfg=None, jac=False):
     return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit)
 
 
-def _huber(delta):
-    """Pseudo-Huber surrogate |x| -> sqrt(x^2 + delta^2) - delta."""
-    return lambda x: np.sqrt(x * x + delta * delta) - delta
+def _oo_cost(theta, t, width=0.0, grad=True):
+    """Closed form of t in the orbitals rotated by theta, and its gradient
+    (the cost alone with grad=False).
+
+    The forward pass rotates as rotate_tensors does and keeps the
+    three-index-rotated tensor, so at width 0 the cost is the closed form of
+    the rotated tensors, bit for bit.  The backward pass averages the
+    gradient in the rotated tensor over its 8-fold index symmetry, which
+    makes the four rotated indices contribute alike: one contraction with
+    the kept tensor, times four.
+    """
+    n = t.n_orb
+    a = _antisymmetric(theta, n)
+    u = _expm_antisym(a)
+    obt, g, part = _rotate(u, t.obt, t.tbt)
+    out = _closed_form(obt, g, width, grad)
+    if not grad:
+        return out
+    cost, s1, dg = out
+    dg = dg + dg.transpose(1, 0, 2, 3)
+    dg = dg + dg.transpose(0, 1, 3, 2)
+    dg = dg + dg.transpose(2, 3, 0, 1)
+    gu = 0.5 * np.tensordot(dg, part, axes=([0, 1, 2], [1, 2, 3]))
+    gu += (s1 + s1.T) @ u @ t.obt
+    return cost, _theta_grad(a, gu)
 
 
 def oo_pauli(t, cfg=None):
     """Minimize the closed-form Pauli 1-norm over orbital rotations.
 
     Starts from theta = 0 plus cfg.restarts seeded perturbations (scale
-    0.05).  From each start it runs two searches: the exact closed form,
-    and the pseudo-Huber surrogate |x| -> sqrt(x^2 + w^2) - w (w = 1e-2),
-    which has no kinks for the finite-difference gradient to stall on,
-    followed by the exact search from that optimum.  The reported lambda is
-    always the exact one, the lowest over all searches and never above the
-    value at theta = 0.  Returns (theta*, lambda at theta*).
+    0.05).  From each start it runs two searches on the analytic
+    (sub)gradient: the exact closed form, and the pseudo-Huber surrogate
+    |x| -> sqrt(x^2 + w^2) - w (w = 1e-2), which has no kinks, followed by
+    the exact search from that optimum.  The best exact optimum is then
+    polished by one search on finite differences of the exact cost, which
+    can still step where the subgradient stalls on a kink.  The reported
+    lambda is always the exact one, the lowest over all searches and never
+    above the value at theta = 0.  Returns (theta*, lambda at theta*).
     """
     cfg = cfg or OptimizerConfig()
-    n = t.n_orb
-    k = theta_dim(n)
-
-    def cost(absf):
-        def f(theta):
-            u = _expm_antisym(_antisymmetric(theta, n))
-            return _closed_form(*_rotate(u, t.obt, t.tbt), absf)
-
-        return f
-
-    exact = cost(np.abs)
-
+    k = theta_dim(t.n_orb)
     rng = np.random.default_rng(cfg.seed)
     starts = [np.zeros(k)]
     starts += [rng.uniform(-0.05, 0.05, size=k) for _ in range(cfg.restarts)]
     best_x, best_f = None, np.inf
     for x0 in starts:
         for width in _OO_WIDTHS:
-            x = x0 if width == 0.0 else minimize(cost(_huber(width)), x0, cfg)[0]
-            x, f, _ = minimize(exact, x, cfg)
+            x = x0
+            if width != 0.0:
+                x = minimize(partial(_oo_cost, t=t, width=width), x0, cfg, jac=True)[0]
+            x, f, _ = minimize(partial(_oo_cost, t=t), x, cfg, jac=True)
             if f < best_f:
                 best_x, best_f = x, f
+    best_x, best_f, _ = minimize(partial(_oo_cost, t=t, grad=False), best_x, cfg)
     base = lambda_pauli_closed_form(t)
     if base <= best_f:
         return np.zeros(k), float(base)

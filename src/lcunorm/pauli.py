@@ -6,8 +6,11 @@ carries X when bit q of x is set, Z when bit q of z is set, and Y when both
 are set; the word operator is the literal tensor product of those letters.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
+from .fragments import _tril
 from .tensors import _one_body_adjust
 
 __all__ = [
@@ -132,12 +135,49 @@ def lambda_pauli_closed_form(t):
     return _closed_form(t.obt, t.tbt)
 
 
-def _closed_form(obt, g, absf=np.abs):
-    """The closed form on bare arrays; `absf` stands in for |x|."""
+def _closed_form(obt, g, width=0.0, grad=False):
+    """The closed form on bare arrays, each |x| replaced by _huber(x, width).
+
+    With grad=True, returns (cost, s1, dg): s1 is the gradient in the
+    adjusted one-body matrix, dg the gradient in g, through the adjusted
+    matrix too.
+    """
     n = obt.shape[0]
-    term1 = absf(_one_body_adjust(obt, g)).sum()
+    adj = _one_body_adjust(obt, g)
     diff = g - g.transpose(0, 3, 2, 1)
-    gt = np.greater.outer(np.arange(n), np.arange(n))
-    term2 = float((absf(diff) * (gt[:, None, :, None] & gt[None, :, None, :])).sum())
-    term3 = 0.5 * absf(g).sum()
-    return float(term1 + term2 + term3)
+    mask = _pair_mask(n)
+    term1 = _huber(adj, width).sum()
+    term2 = float((_huber(diff, width) * mask).sum())
+    term3 = 0.5 * _huber(g, width).sum()
+    cost = float(term1 + term2 + term3)
+    if not grad:
+        return cost
+    s1 = _huber_grad(adj, width)
+    m = _huber_grad(diff, width) * mask
+    dg = 0.5 * _huber_grad(g, width) + m - m.transpose(0, 3, 2, 1)
+    dg += 2.0 * s1[:, :, None, None] * np.eye(n)
+    return cost, s1, dg
+
+
+def _huber(x, width):
+    """Pseudo-Huber surrogate sqrt(x^2 + w^2) - w of |x|; |x| itself at w = 0."""
+    if width == 0.0:
+        return np.abs(x)
+    return np.sqrt(x * x + width * width) - width
+
+
+def _huber_grad(x, width):
+    """Derivative of _huber in x; the subgradient sign(x) at w = 0."""
+    if width == 0.0:
+        return np.sign(x)
+    return x / np.sqrt(x * x + width * width)
+
+
+@lru_cache(maxsize=None)
+def _pair_mask(n):
+    """mask[i, j, k, l] = (i > k) and (j > l), read-only."""
+    gt = np.zeros((n, n), dtype=bool)
+    gt[_tril(n, -1)] = True
+    mask = gt[:, None, :, None] & gt[None, :, None, :]
+    mask.flags.writeable = False
+    return mask

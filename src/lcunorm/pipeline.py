@@ -72,7 +72,7 @@ __all__ = [
 # Revision of the algorithm behind each cache entry.  Bump an entry when the
 # code that computes it changes, together with every entry read from it, so
 # that results of the older code miss; revision 1 keeps the original key.
-_REVISIONS = {"oo-theta": 2, "oo-pauli": 2, "oo-ac": 2, "de2": 3}
+_REVISIONS = {"oo-theta": 3, "oo-pauli": 3, "oo-ac": 3, "de2": 3}
 
 
 @dataclass

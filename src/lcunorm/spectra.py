@@ -20,6 +20,7 @@ largest sector first and raises NumericalError above `_SECTOR_BYTES_LIMIT`
 (1 GiB) instead of allocating it.
 """
 
+import mmap
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -149,28 +150,35 @@ def _lanczos_extremes(matvec, dim, tol=_LANCZOS_TOL, cap=_LANCZOS_CAP):
     Returns (e_min, e_max, residual bound).  Deterministic start vector.
     """
     rng = np.random.default_rng(1905)
-    q = rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
-    basis = [q]
-    alphas, betas = [], []
     steps = min(dim, cap)
+    # Row j holds the j-th Krylov vector.  The rows live in an anonymous
+    # mapping, not a malloc'd array: freeing a large malloc'd block raises
+    # glibc's mmap threshold to its size, and later mid-sized allocations
+    # then stay on the heap (a freed 7.5 MB NH3 basis added ~10 MB to the
+    # peak RSS of the rest of a run).  Only pages of written rows are resident.
+    mapping = mmap.mmap(-1, steps * dim * 8)
+    basis = np.frombuffer(mapping, dtype=float).reshape(steps, dim)
+    basis[0] = rng.standard_normal(dim)
+    basis[0] /= np.linalg.norm(basis[0])
+    alphas, betas = [], []
     for j in range(steps):
-        w = matvec(basis[-1])
-        a = float(basis[-1] @ w)
+        w = matvec(basis[j])
+        a = float(basis[j] @ w)
         alphas.append(a)
-        w = w - a * basis[-1]
+        w = w - a * basis[j]
         if j > 0:
-            w = w - betas[-1] * basis[-2]
-        qmat = np.asarray(basis).T
-        w = w - qmat @ (qmat.T @ w)
-        w = w - qmat @ (qmat.T @ w)
+            w = w - betas[-1] * basis[j - 1]
+        qmat = basis[: j + 1]
+        w = w - qmat.T @ (qmat @ w)
+        w = w - qmat.T @ (qmat @ w)
         b = float(np.linalg.norm(w))
         tmat_vals, tmat_vecs = _tridiag_eig(alphas, betas)
         res = b * max(abs(tmat_vecs[-1, 0]), abs(tmat_vecs[-1, -1]))
         if res <= tol or b < 1e-13 or j == dim - 1:
             return float(tmat_vals[0]), float(tmat_vals[-1]), res
         betas.append(b)
-        basis.append(w / b)
+        if j + 1 < steps:
+            basis[j + 1] = w / b
     raise NumericalError(
         f"Lanczos failed to converge in {steps} steps (residual {res:.3e})",
         payload={"residual": res},
@@ -209,8 +217,7 @@ def _sector_bytes(n, na, nb):
     at_cols stacks) plus the larger of the stack held only while they are
     built and the work arrays of the path that diagonalizes it (the GEMM
     operands of dense(), its dim x dim result and the copy eigvalsh makes,
-    or a matvec's intermediate and the Lanczos basis with the copy that
-    each step makes of it)."""
+    or a matvec's intermediate and the Lanczos basis)."""
     da, db = comb(n, na), comb(n, nb)
     dim = da * db
     stacks = n * n * (da * da + db * db)
@@ -218,7 +225,7 @@ def _sector_bytes(n, na, nb):
     if _dense_sector(n, na, nb):
         work = (n * n + 2) * (da * da + db * db) + 2 * dim * dim
     else:
-        work = n * n * dim + 2 * min(dim, _LANCZOS_CAP) * dim
+        work = n * n * dim + min(dim, _LANCZOS_CAP) * dim
     return 8 * (stacks + max(build, work))
 
 

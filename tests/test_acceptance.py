@@ -29,6 +29,7 @@ from lcunorm.fragments import (
     OrbitalRotation,
     _fragment_fit,
     _pack_dim,
+    _tril,
     csa_greedy,
     double_factorize,
     fragment_lambda_matrix,
@@ -41,7 +42,7 @@ from lcunorm.fragments import (
     theta_dim,
 )
 from lcunorm.grouping import sorted_insertion
-from lcunorm.optimize import minimize
+from lcunorm.optimize import _oo_cost, minimize
 from lcunorm.pauli import jordan_wigner, lambda_pauli_closed_form
 from lcunorm.pipeline import _METHODS, _MethodEngine, prepare, run_pipeline
 from lcunorm.spectra import minimal_lcu, spectral_range
@@ -410,6 +411,24 @@ def test_c8_split_gradient_matches_finite_differences():
         _, grad = _fragment_fit(x, t.tbt, t.obt)
         fun = lambda y: _fragment_fit(y, t.tbt, t.obt)[0]
         assert _fd_check(fun, x, grad) < 1e-4
+
+
+def test_c8_oo_gradient_matches_finite_differences():
+    rng = np.random.default_rng(43)
+    for n in (3, 4):
+        t = random_spatial(n, rng)
+        for _ in range(3):
+            x = rng.uniform(-0.3, 0.3, size=theta_dim(n))
+            _, grad = _oo_cost(x, t, width=1e-2)
+            fun = lambda y: _oo_cost(y, t, width=1e-2, grad=False)
+            assert _fd_check(fun, x, grad) < 1e-4
+            # the exact search reports the closed form of the rotated tensors
+            exact = lambda_pauli_closed_form(rotate_tensors(make_rotation(x), t))
+            assert _oo_cost(x, t)[0] == exact
+            assert _oo_cost(x, t, grad=False) == exact
+    rows, _ = _tril(4, -1)
+    with pytest.raises(ValueError):
+        rows[0] = 1
 
 
 def test_c8_bfgs_solves_quadratic():

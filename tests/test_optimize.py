@@ -92,11 +92,30 @@ def test_oo_pauli_h2():
 
 
 def test_smoothed_cost_tracks_exact():
-    from lcunorm.optimize import _huber
     from lcunorm.pauli import _closed_form
 
     rng = np.random.default_rng(21)
     t = random_spatial(3, rng)
     exact = lambda_pauli_closed_form(t)
-    smooth = _closed_form(t.obt, t.tbt, _huber(1e-8))
+    smooth = _closed_form(t.obt, t.tbt, 1e-8)
     assert abs(smooth - exact) < 1e-5
+
+
+def test_oo_pauli_work_budget_on_lih(monkeypatch):
+    # a machine-independent guard on the cold cost of the orbital search:
+    # on analytic gradients it evaluates the closed form ~5,000 times on
+    # LiH; searches on finite-difference gradients take ~39,000
+    import lcunorm.optimize as opt
+
+    calls = []
+    closed_form = opt._closed_form
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return closed_form(*args, **kwargs)
+
+    monkeypatch.setattr(opt, "_closed_form", counted)
+    t = to_chemist(load_fixture("lih"))
+    _, lam = oo_pauli(t)
+    assert len(calls) <= 10_000
+    assert lam < lambda_pauli_closed_form(t)
