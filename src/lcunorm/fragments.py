@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .tensors import SpatialTensors
@@ -66,10 +65,11 @@ def _antisymmetric(theta, n):
 
 
 def _expm_antisym(a):
-    # exact exponential through the Hermitian eigendecomposition of i*a
+    """(expm(a), eigenpairs (w, v) of i*a) of a real antisymmetric a, exact
+    through the Hermitian eigendecomposition; _theta_grad reuses the pairs."""
     w, v = np.linalg.eigh(1j * a)
     u = (v * np.exp(-1j * w)) @ v.conj().T
-    return np.ascontiguousarray(u.real)
+    return np.ascontiguousarray(u.real), (w, v)
 
 
 @dataclass
@@ -92,7 +92,7 @@ class OrbitalRotation:
 def make_rotation(theta):
     theta = np.asarray(theta, dtype=float)
     n = _n_from_theta(theta.size)
-    return OrbitalRotation(theta, _expm_antisym(_antisymmetric(theta, n)))
+    return OrbitalRotation(theta, _expm_antisym(_antisymmetric(theta, n))[0])
 
 
 def rotate_tensors(r, t):
@@ -202,61 +202,72 @@ def _pack_weights(n):
     return weights
 
 
-def _unpack_sym(p, n):
+def _fit_params(x, n):
+    """(theta, mu, lam) of a split fit vector; lam is stored packed (lower triangle)."""
+    nt = theta_dim(n)
     lam = np.zeros((n, n))
     rows, cols = _tril(n)
-    lam[rows, cols] = p
-    lam[cols, rows] = p
-    return lam
+    lam[rows, cols] = lam[cols, rows] = x[nt + n :]
+    return x[:nt], x[nt : nt + n], lam
 
 
-def _fit_params(x, n, with_mu):
-    """(theta, mu, lam) of a fit vector; mu is None when the fit has no one-body part."""
-    nt = theta_dim(n)
-    if not with_mu:
-        return x[:nt], None, _unpack_sym(x[nt:], n)
-    return x[:nt], x[nt : nt + n], _unpack_sym(x[nt + n :], n)
+def _pair_columns(u):
+    """The n^2 x n matrix W with columns vec(u_a u_a^T); they are orthonormal."""
+    n = u.shape[0]
+    return np.einsum("ia,ja->ija", u, u).reshape(n * n, n)
 
 
 def _fragment_fit(x, tbt, obt=None):
     """Squared Frobenius misfit of one orbital-rotated fragment, and its gradient.
 
-    x holds (theta, lam), or (theta, mu, lam) when obt is given: the fragment
-    is the two-body tensor sum_ab u_ia u_ja u_kb u_lb lam_ab, plus the
-    one-body matrix u diag(mu) u^T fitted jointly to obt.  lam is stored
-    packed (lower triangle).  Greedy CSA fits the two-body residual; the
-    interaction-picture split fits both tensors.
+    The fragment is the two-body tensor W lam W^T (W = _pair_columns(u),
+    u = expm(a(theta))).  Greedy CSA passes x = theta alone: for a fixed u
+    the best lam is the projection W^T tbt W, where the misfit is
+    |tbt|^2 - |lam|^2 and the lam gradient vanishes, so the gradient is the
+    u-gradient at that lam.  The interaction-picture split passes
+    x = (theta, mu, lam) with obt, and the one-body matrix u diag(mu) u^T is
+    fitted jointly to obt.
     """
     n = tbt.shape[0]
-    theta, mu, lam = _fit_params(x, n, obt is not None)
-    a = _antisymmetric(theta, n)
-    u = _expm_antisym(a)
-    w = np.einsum("ia,ja->ija", u, u).reshape(n * n, n)
-    diff = w @ lam @ w.T - tbt.reshape(n * n, n * n)
-    cost = (diff * diff).sum()
-    d = 2.0 * diff
-    # lam gradient: W^T D W, folded onto the packed symmetric storage
-    glam = _pack_weights(n) * (w.T @ d @ w)[_tril(n)]
-    # u gradient: 4 einsum('ija,ja->ia') of (D W lam) against u
-    m = (d @ w @ lam).reshape(n, n, n)
-    gu = 4.0 * np.einsum("ija,ja->ia", m, u)
-    gmu = np.zeros(0)
-    if obt is not None:
-        da = (u * mu) @ u.T - obt
-        cost = (da * da).sum() + cost
-        gmu = 2.0 * np.einsum("ia,ij,ja->a", u, da, u)
-        gu = gu + 4.0 * da @ (u * mu)
-    return float(cost), np.concatenate([_theta_grad(a, gu), gmu, glam])
+    u, eig = _expm_antisym(_antisymmetric(x[: theta_dim(n)], n))
+    w = _pair_columns(u)
+    g = tbt.reshape(n * n, n * n)
+    tw = g @ w
+    if obt is None:
+        lam = w.T @ tw
+        cost = (g * g).sum() - (lam * lam).sum()
+    else:
+        _, mu, lam = _fit_params(x, n)
+        diff = w @ lam @ w.T - g
+        cost = (diff * diff).sum()
+    # (W lam W^T - tbt) W = W lam - tbt W, since W^T W = 1
+    dw = w @ lam - tw
+    gu = 8.0 * np.einsum("ija,ja->ia", (dw @ lam).reshape(n, n, n), u)
+    if obt is None:
+        return float(cost), _theta_grad(eig, gu)
+    da = (u * mu) @ u.T - obt
+    cost = (da * da).sum() + cost
+    gmu = 2.0 * np.einsum("ia,ij,ja->a", u, da, u)
+    glam = 2.0 * _pack_weights(n) * (w.T @ dw)[_tril(n)]
+    gu = gu + 4.0 * da @ (u * mu)
+    return float(cost), np.concatenate([_theta_grad(eig, gu), gmu, glam])
 
 
-def _theta_grad(a, gu):
-    """Gradient in theta of a cost of u = expm(a), given its gradient gu in u.
+def _theta_grad(eig, gu):
+    """Gradient in theta of a cost of u = expm(a), given its gradient gu in u
+    and the eigenpairs (w, v) of i*a from _expm_antisym.
 
     The adjoint of the exponential's Frechet derivative at a is the
-    derivative at a^T; theta_(i>j) enters a at (i, j) and, negated, at (j, i).
+    derivative at a^T: in the eigenbasis, the Hadamard product with
+    phi_jk = exp(i (w_j + w_k) / 2) sinc((w_j - w_k) / 2 pi), exact at
+    repeated eigenvalues (Daleckii-Krein).  theta_(i>j) enters a at (i, j)
+    and, negated, at (j, i).
     """
-    z = scipy.linalg.expm_frechet(a.T, gu, compute_expm=False)
-    rows, cols = _tril(a.shape[0], -1)
+    w, v = eig
+    phi = np.exp(0.5j * (w[:, None] + w)) * np.sinc((w[:, None] - w) / (2 * np.pi))
+    vh = v.conj().T
+    z = (v @ (phi * (vh @ gu @ v)) @ vh).real
+    rows, cols = _tril(v.shape[0], -1)
     return z[rows, cols] - z[cols, rows]
 
 
@@ -268,10 +279,12 @@ def csa_greedy(t, stop_tol=1e-6, seed=0):
     """Greedy CSA: repeatedly fit one fragment to the two-electron residual.
 
     Each fit minimizes the squared Frobenius norm of (residual - fragment)
-    starting from small random (theta, lam); up to _CSA_RESTARTS fresh
-    starts are tried before declaring stagnation.  Stops when the residual
-    Frobenius norm falls to stop_tol; raises NumericalError if that takes
-    more than _CSA_FRAGS_PER_ORBITAL fragments per orbital.
+    over the rotation theta alone, starting from small random theta; lam is
+    the projection of the residual onto the rotation's pair columns (see
+    _fragment_fit).  Up to _CSA_RESTARTS fresh starts are tried before
+    declaring stagnation.  Stops when the residual Frobenius norm falls to
+    stop_tol; raises NumericalError if that takes more than
+    _CSA_FRAGS_PER_ORBITAL fragments per orbital.
     """
     from .optimize import OptimizerConfig, minimize
 
@@ -280,7 +293,6 @@ def csa_greedy(t, stop_tol=1e-6, seed=0):
     n = t.n_orb
     rng = np.random.default_rng(seed)
     target = t.tbt.copy()
-    dim = theta_dim(n) + _pack_dim(n)
     cfg = OptimizerConfig(tol_grad=1e-9, max_iters=2000)
     cap = _CSA_FRAGS_PER_ORBITAL * n
     frags = []
@@ -294,12 +306,12 @@ def csa_greedy(t, stop_tol=1e-6, seed=0):
                 f"(residual {rnorm:.3e})",
                 payload={"residual": rnorm, "n_fragments": len(frags)},
             )
-        # fit the unit-normalized residual so the cost stays O(1); lam is
-        # linear in the fragment tensor, so scaling back afterwards is exact
+        # fit the unit-normalized residual so the cost stays O(1); the best
+        # rotation does not depend on the scale
         scaled = target / rnorm
         best_x, best_f = None, 1.0
         for _ in range(_CSA_RESTARTS):
-            x0 = rng.uniform(-0.01, 0.01, size=dim)
+            x0 = rng.uniform(-0.01, 0.01, size=theta_dim(n))
             x, fval, _ = minimize(lambda y: _fragment_fit(y, scaled), x0, cfg, jac=True)
             if fval < best_f:
                 best_x, best_f = x, fval
@@ -310,8 +322,9 @@ def csa_greedy(t, stop_tol=1e-6, seed=0):
                 f"CSA stagnated at fragment {len(frags)}: residual {rnorm:.3e}",
                 payload={"residual": rnorm, "n_fragments": len(frags)},
             )
-        theta, _, lam = _fit_params(best_x, n, with_mu=False)
-        frag = CsaFragment(make_rotation(theta), rnorm * lam)
+        rot = make_rotation(best_x)
+        w = _pair_columns(rot.u)
+        frag = CsaFragment(rot, w.T @ target.reshape(n * n, n * n) @ w)
         target -= fragment_tensor(frag)
         frags.append(frag)
 

@@ -60,6 +60,8 @@ def minimize(f, x0, cfg=None, jac=False):
         return out
 
     f0 = checked(x0)[0] if jac else checked(x0)
+    if x0.size == 0:  # nothing to search, e.g. the rotation of one orbital
+        return x0, float(f0), 0
     try:
         res = scipy.optimize.minimize(
             checked,
@@ -90,8 +92,7 @@ def _oo_cost(theta, t, width=0.0, grad=True):
     the kept tensor, times four.
     """
     n = t.n_orb
-    a = _antisymmetric(theta, n)
-    u = _expm_antisym(a)
+    u, eig = _expm_antisym(_antisymmetric(theta, n))
     obt, g, part = _rotate(u, t.obt, t.tbt)
     out = _closed_form(obt, g, width, grad)
     if not grad:
@@ -102,7 +103,7 @@ def _oo_cost(theta, t, width=0.0, grad=True):
     dg = dg + dg.transpose(2, 3, 0, 1)
     gu = 0.5 * np.tensordot(dg, part, axes=([0, 1, 2], [1, 2, 3]))
     gu += (s1 + s1.T) @ u @ t.obt
-    return cost, _theta_grad(a, gu)
+    return cost, _theta_grad(eig, gu)
 
 
 def oo_pauli(t, cfg=None):

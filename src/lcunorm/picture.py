@@ -86,6 +86,6 @@ def split_interaction(t, cfg=None):
         x, fval, _ = minimize(lambda y: _fragment_fit(y, t.tbt, t.obt), x0, cfg, jac=True)
         if fval < best_f:
             best_x, best_f = x, fval
-    theta, mu, lam = _fit_params(best_x, n, with_mu=True)
+    theta, mu, lam = _fit_params(best_x, n)
     h0 = CsaFragment(make_rotation(theta), lam, mu=mu)
     return PictureSplit.of(t, h0)

@@ -72,7 +72,8 @@ __all__ = [
 # Revision of the algorithm behind each cache entry.  Bump an entry when the
 # code that computes it changes, together with every entry read from it, so
 # that results of the older code miss; revision 1 keeps the original key.
-_REVISIONS = {"oo-theta": 3, "oo-pauli": 3, "oo-ac": 3, "de2": 3}
+_REVISIONS = {"oo-theta": 4, "oo-pauli": 4, "oo-ac": 4, "de2": 3, "split": 2}
+_REVISIONS |= {"gcsa-frags": 2, "gcsa-f": 2, "gcsa-sr": 2}
 
 
 @dataclass

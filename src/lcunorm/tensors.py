@@ -111,64 +111,93 @@ def parse_fcidump(text):
     The header namelist runs through `&END` (or `/`); data lines are
     `value i j k l` with 1-based indices.  `i=j=k=l=0` holds the core energy,
     `k=l=0` a core-Hamiltonian entry, everything else an (ij|kl) integral
-    whose permutational images are filled in.
+    whose permutational images are filled in; a later line overwrites an
+    earlier one.
     """
     lines = text.splitlines()
-    header_lines = []
     data_start = None
     for ln, raw in enumerate(lines, start=1):
-        header_lines.append(raw)
         if "&END" in raw.upper() or raw.strip() == "/" or raw.strip().endswith("/"):
             data_start = ln
             break
     if data_start is None:
         raise ParseError("missing &END terminator in FCIDUMP header", line=len(lines))
-    header = " ".join(header_lines)
+    header = " ".join(lines[:data_start])
     if "&FCI" not in header.upper():
         raise ParseError("missing &FCI header", line=1)
-    m = _HEADER_INT["NORB"].search(header)
-    if m is None:
-        raise ParseError("header lacks NORB", line=1)
-    n = int(m.group(1))
-    m = _HEADER_INT["NELEC"].search(header)
-    if m is None:
-        raise ParseError("header lacks NELEC", line=1)
-    n_elec = int(m.group(1))
-    m = _HEADER_INT["MS2"].search(header)
-    ms2 = int(m.group(1)) if m else 0
+    found = {key: pattern.search(header) for key, pattern in _HEADER_INT.items()}
+    for key in ("NORB", "NELEC"):
+        if found[key] is None:
+            raise ParseError(f"header lacks {key}", line=1)
+    n, n_elec = int(found["NORB"].group(1)), int(found["NELEC"].group(1))
+    ms2 = int(found["MS2"].group(1)) if found["MS2"] else 0
 
-    core_energy = 0.0
-    core_h = np.zeros((n, n))
-    eri = np.zeros((n, n, n, n))
-    for ln in range(data_start, len(lines)):
-        raw = lines[ln].strip()
-        if not raw:
-            continue
-        parts = raw.split()
-        if len(parts) != 5:
-            raise ParseError(f"expected 'value i j k l', got {raw!r}", line=ln + 1)
-        try:
-            v = float(parts[0])
-            i, j, k, l = (int(p) for p in parts[1:])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=ln + 1) from None
-        for idx in (i, j, k, l):
-            if idx < 0 or idx > n:
-                raise ParseError(f"orbital index {idx} outside [0, {n}]", line=ln + 1)
-        if i == j == k == l == 0:
-            core_energy = v
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise ParseError(f"bad one-electron index pair ({i},{j})", line=ln + 1)
-            core_h[i - 1, j - 1] = core_h[j - 1, i - 1] = v
-        elif 0 in (i, j, k, l):
-            raise ParseError(f"bad index pattern ({i},{j},{k},{l})", line=ln + 1)
-        else:
-            for a, b in ((i - 1, j - 1), (j - 1, i - 1)):
-                for c, d in ((k - 1, l - 1), (l - 1, k - 1)):
-                    eri[a, b, c, d] = v
-                    eri[c, d, a, b] = v
+    vals, idx = _read_data(lines[data_start:], data_start + 1, n)
+    # a later line overwrites an earlier one: keep the last row of each orbit
+    # under i<->j, k<->l and ij<->kl, keyed by its sorted index pairs
+    m = n + 1
+    i, j, k, l = idx.T
+    ij, kl = np.maximum(i, j) * m + np.minimum(i, j), np.maximum(k, l) * m + np.minimum(k, l)
+    _, last = np.unique((np.maximum(ij, kl) * m * m + np.minimum(ij, kl))[::-1], return_index=True)
+    keep = idx.shape[0] - 1 - last
+    (i, j, k, l), v = idx[keep].T, vals[keep]
+    # one 1-based array holds all three kinds: the core energy at (0,0,0,0),
+    # the core Hamiltonian at (i,j,0,0) and the integrals at (i,j,k,l)
+    full = np.zeros((m, m, m, m))
+    for a, b in ((i, j), (j, i)):
+        for c, d in ((k, l), (l, k)):
+            full[a, b, c, d] = full[c, d, a, b] = v
+    core_energy, core_h, eri = float(full[0, 0, 0, 0]), full[1:, 1:, 0, 0], full[1:, 1:, 1:, 1:]
     return FcidumpRecord(n, n_elec, ms2, core_energy, core_h, eri)
+
+
+_DATA_ROW = np.dtype([("v", "f8"), ("i", "i8", (4,))])
+# bit p of a row's zero pattern is set when index p is 0; the valid patterns
+# are 0 (an (ij|kl) integral), 12 (a core-Hamiltonian entry), 15 (core energy)
+_VALID_ZEROS = np.isin(np.arange(16), (0, 12, 15))
+
+
+def _read_data(body, first_line, n):
+    """(values, m x 4 indices) of the data lines, read in one numpy pass after
+    a leading core energy of 0 (the value when none is given).  On a
+    malformed line or an invalid index the lines are rescanned, and the first
+    bad one raises ParseError."""
+    try:
+        rows = np.loadtxt([" 0 0 0 0 0", *body], dtype=_DATA_ROW, ndmin=1, comments=None)
+        idx = np.ascontiguousarray(rows["i"])
+        if _index_error(idx, n) is None:
+            return rows["v"], idx
+    except ValueError:
+        pass
+    for ln, raw in enumerate(body, start=first_line):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 5:
+            raise ParseError(f"expected 'value i j k l', got {raw.strip()!r}", line=ln)
+        try:
+            float(parts[0])
+            msg = _index_error(np.array([[int(p) for p in parts[1:]]]), n)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=ln) from None
+        if msg:
+            raise ParseError(msg, line=ln)
+    # only lines that Python reads but numpy does not, such as 1_0 for 10
+    raise ParseError("data lines are not plain 'value i j k l' numbers", line=first_line)
+
+
+def _index_error(idx, n):
+    """Why the first invalid row of orbital indices (m x 4) is invalid, or None."""
+    bad = ((idx < 0) | (idx > n)).any(1) | ~_VALID_ZEROS[(idx == 0) @ (1, 2, 4, 8)]
+    if not bad.any():
+        return None
+    i, j, k, l = row = idx[np.argmax(bad)]
+    out = row[(row < 0) | (row > n)]
+    if out.size:
+        return f"orbital index {out[0]} outside [0, {n}]"
+    if k == l == 0:
+        return f"bad one-electron index pair ({i},{j})"
+    return f"bad index pattern ({i},{j},{k},{l})"
 
 
 def write_fcidump(rec):

@@ -7,15 +7,18 @@ assembled by explicit loops.  Usable up to ~12 modes.  The rest is code
 that the library does not run: spin-resolved two-electron tensors, Pauli
 words with their products and matrices, the Majorana-operator route to
 Pauli words, the pairwise check and the dense reflection of an
-anticommuting group, the spectrum at a fixed electron number, and the
-symmetry-shift problem as a linear program.
+anticommuting group, the spectrum at a fixed electron number, the
+symmetry-shift problem as a linear program, and the theta gradient of a
+rotation through scipy's Frechet derivative of the matrix exponential.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from lcunorm.errors import NumericalError
+from lcunorm.fragments import _tril
 from lcunorm.grouping import sorted_insertion
 from lcunorm.pauli import PRUNE_TOL, PauliPolynomial, _mul_masks, _word_string
 from lcunorm.spectra import _Sector
@@ -594,3 +597,18 @@ def solve_l1_median(prob):
     when tau is a single constant row (the electron-number shift)."""
     s = np.array([weighted_median(prob.lam / prob.tau[0, 0], prob.weights)])
     return s, prob.objective(s)
+
+
+# ---- orbital-rotation gradient --------------------------------------------
+
+
+def expm_frechet_theta_grad(a, gu):
+    """Gradient in theta of a cost of u = expm(a), given its gradient gu in u.
+
+    The adjoint of the exponential's Frechet derivative at a is the
+    derivative at a^T, here by scipy's scaling-and-squaring Pade; theta_(i>j)
+    enters a at (i, j) and, negated, at (j, i).
+    """
+    z = scipy.linalg.expm_frechet(a.T, gu, compute_expm=False)
+    rows, cols = _tril(a.shape[0], -1)
+    return z[rows, cols] - z[cols, rows]

@@ -27,8 +27,11 @@ from lcunorm.fragments import (
     CsaFragment,
     DfFragment,
     OrbitalRotation,
+    _antisymmetric,
+    _expm_antisym,
     _fragment_fit,
     _pack_dim,
+    _theta_grad,
     _tril,
     csa_greedy,
     double_factorize,
@@ -54,6 +57,7 @@ from oracles import (
     MajoranaPolynomial,
     absorb_one_body,
     dense_hamiltonian,
+    expm_frechet_theta_grad,
     lambda_pauli,
     majorana_separate,
     majorana_to_pauli,
@@ -390,12 +394,12 @@ def _fd_check(fun, x, grad, step=1e-6):
 
 
 def test_c8_csa_gradient_matches_finite_differences():
+    # the CSA cost is projected: x is theta alone, lam is W^T T W
     rng = np.random.default_rng(41)
     n = 3
     target = random_spatial(n, rng).tbt
-    dim = theta_dim(n) + _pack_dim(n)
     for _ in range(5):
-        x = rng.uniform(-0.3, 0.3, size=dim)
+        x = rng.uniform(-0.3, 0.3, size=theta_dim(n))
         _, grad = _fragment_fit(x, target)
         fun = lambda y: _fragment_fit(y, target)[0]
         assert _fd_check(fun, x, grad) < 1e-4
@@ -411,6 +415,47 @@ def test_c8_split_gradient_matches_finite_differences():
         _, grad = _fragment_fit(x, t.tbt, t.obt)
         fun = lambda y: _fragment_fit(y, t.tbt, t.obt)[0]
         assert _fd_check(fun, x, grad) < 1e-4
+
+
+def test_c8_csa_projection_is_the_split_optimum_in_lam():
+    # at lam = W^T T W the split kernel's lam gradient vanishes (envelope
+    # theorem), and its cost and theta gradient are the projected CSA ones
+    rng = np.random.default_rng(44)
+    for n in (3, 4, 5):
+        t = random_spatial(n, rng)
+        theta = rng.uniform(-1.0, 1.0, size=theta_dim(n))
+        mu = rng.normal(size=n)
+        u = make_rotation(theta).u
+        w = np.einsum("ia,ja->ija", u, u).reshape(n * n, n)
+        lam = w.T @ t.tbt.reshape(n * n, n * n) @ w
+        x = np.concatenate([theta, mu, lam[np.tril_indices(n)]])
+        # obt is the fragment's own one-body part, so only the two-body misfit is left
+        split_cost, split_grad = _fragment_fit(x, t.tbt, (u * mu) @ u.T)
+        csa_cost, csa_grad = _fragment_fit(theta, t.tbt)
+        k = theta_dim(n)
+        assert np.abs(split_grad[k + n :]).max() <= 1e-12
+        assert abs(split_cost - csa_cost) <= 1e-12 * max(1.0, csa_cost)
+        assert np.abs(split_grad[:k] - csa_grad).max() <= 1e-12 * max(1.0, np.abs(csa_grad).max())
+
+
+def test_c8_eigenbasis_adjoint_matches_expm_frechet():
+    # _theta_grad against scipy's Frechet derivative: at theta = 0, with
+    # repeated +-eigenvalue pairs of a, and at random theta up to 3
+    rng = np.random.default_rng(45)
+    for n in range(2, 9):
+        k = theta_dim(n)
+        rows, cols = np.tril_indices(n, -1)
+        blocks = np.zeros((n, n))
+        for p in range(0, n - 1, 2):  # equal 2x2 rotation blocks: +-0.7i, repeated
+            blocks[p + 1, p], blocks[p, p + 1] = 0.7, -0.7
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        repeated = (q @ blocks @ q.T)[rows, cols]
+        for theta in [np.zeros(k), repeated, *rng.uniform(-3.0, 3.0, size=(3, k))]:
+            a = _antisymmetric(theta, n)
+            gu = rng.normal(size=(n, n))
+            got = _theta_grad(_expm_antisym(a)[1], gu)
+            ref = expm_frechet_theta_grad(a, gu)
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_c8_oo_gradient_matches_finite_differences():

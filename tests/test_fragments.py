@@ -151,13 +151,13 @@ def test_csa_fails_fast_at_the_fragment_cap(monkeypatch):
 
 @pytest.mark.parametrize("with_obt", [False, True], ids=["csa", "split"])
 def test_fragment_fit_gradient_matches_finite_differences(with_obt):
-    # the CSA layout (theta, lam) fits the two-body tensor alone; the split
-    # layout (theta, mu, lam) fits the one-body matrix too
+    # the CSA layout (theta alone, lam projected) fits the two-body tensor;
+    # the split layout (theta, mu, lam) fits the one-body matrix too
     rng = np.random.default_rng(23)
     n = 3
     t = random_spatial(n, rng)
     obt = t.obt if with_obt else None
-    dim = theta_dim(n) + (n if with_obt else 0) + _pack_dim(n)
+    dim = theta_dim(n) + (n + _pack_dim(n) if with_obt else 0)
     h = 1e-5
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, size=dim)

@@ -205,13 +205,10 @@ def test_method_registry_is_complete():
     ]
 
 
-@pytest.mark.parametrize("method", ["pauli", "oo-ac", "gcsa-sr"])
-def test_revision_bump_misses_only_that_method(tmp_path, monkeypatch, method):
-    import lcunorm.pipeline as pl
-
-    d = str(tmp_path)
+def _poisoned_h2_cache(d):
+    """Fill d with a full H2 report and poison every cached lambda, so that a
+    hit returns 123.0 and a miss recomputes; returns the report's entries."""
     first = run_pipeline("h2", cache_dir=d).methods
-    # poison every cached lambda: a hit returns the poison, a miss recomputes
     for f in os.listdir(d):
         path = os.path.join(d, f)
         with open(path) as fh:
@@ -220,13 +217,29 @@ def test_revision_bump_misses_only_that_method(tmp_path, monkeypatch, method):
             doc["lambda"] = 123.0
             with open(path, "w") as fh:
                 json.dump(doc, fh)
+    return first
+
+
+@pytest.mark.parametrize(
+    "bumped",
+    [["pauli"], ["oo-ac"], ["gcsa-sr"], ["gcsa-frags", "gcsa-f", "gcsa-sr"]],
+    ids=["pauli", "oo-ac", "gcsa-sr", "csa"],
+)
+def test_revision_bump_misses_only_that_method(tmp_path, monkeypatch, bumped):
+    # a change to csa_greedy bumps the fragments and both costings read from them
+    import lcunorm.pipeline as pl
+
+    d = str(tmp_path)
+    first = _poisoned_h2_cache(d)
     before = set(os.listdir(d))
-    monkeypatch.setitem(pl._REVISIONS, method, pl._REVISIONS.get(method, 1) + 1)
+    for name in bumped:
+        monkeypatch.setitem(pl._REVISIONS, name, pl._REVISIONS.get(name, 1) + 1)
     # de2 is left out: its poisoned floor would reject every recomputed value
     second = run_pipeline("h2", methods=METHOD_ORDER[1:], cache_dir=d).methods
-    assert second[method] == first[method]
-    assert all(e["lambda"] == 123.0 for m, e in second.items() if m != method)
-    assert len(set(os.listdir(d)) - before) == 1
+    assert all(second[m] == first[m] for m in bumped if m in second)
+    assert all(e["lambda"] == 123.0 for m, e in second.items() if m not in bumped)
+    cache = _MethodEngine(prepare("h2"), d).cache
+    assert set(os.listdir(d)) - before == {cache.key(name) + ".json" for name in bumped}
 
 
 def test_benchmark_tracer_records_every_layer(tmp_path, monkeypatch):

@@ -76,6 +76,18 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+def test_later_lines_overwrite_earlier():
+    # (21|11) and (12|11) fill the same eight entries, (21|00) and (12|00)
+    # the same two: the last line of each set wins, as does the last core energy
+    text = MINIMAL + " 0.3 1 1 1 2\n 0.06 1 2 0 0\n 0.8 0 0 0 0\n 0.25 1 1 2 1\n"
+    rec = parse_fcidump(text)
+    assert rec.core_energy == 0.8
+    assert rec.core_h[0, 1] == rec.core_h[1, 0] == 0.06
+    for idx in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
+        assert rec.eri[idx] == 0.25
+    assert rec.eri[0, 0, 0, 0] == 0.6
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_fcidump("&FCI NORB=1,NELEC=1\n&END\n 1.0 1 1 0 0\n junk 1 1\n")
