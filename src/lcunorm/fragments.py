@@ -222,24 +222,20 @@ def _fragment_fit(x, tbt, obt=None):
 
     The fragment is the two-body tensor W lam W^T (W = _pair_columns(u),
     u = expm(a(theta))).  Greedy CSA passes x = theta alone: for a fixed u
-    the best lam is the projection W^T tbt W, where the misfit is
-    |tbt|^2 - |lam|^2 and the lam gradient vanishes, so the gradient is the
-    u-gradient at that lam.  The interaction-picture split passes
-    x = (theta, mu, lam) with obt, and the one-body matrix u diag(mu) u^T is
-    fitted jointly to obt.
+    the best lam is the projection W^T tbt W, where the lam gradient
+    vanishes, so the gradient is the u-gradient at that lam.  The
+    interaction-picture split passes x = (theta, mu, lam) with obt, and the
+    one-body matrix u diag(mu) u^T is fitted jointly to obt.
     """
     n = tbt.shape[0]
     u, eig = _expm_antisym(_antisymmetric(x[: theta_dim(n)], n))
     w = _pair_columns(u)
     g = tbt.reshape(n * n, n * n)
     tw = g @ w
-    if obt is None:
-        lam = w.T @ tw
-        cost = (g * g).sum() - (lam * lam).sum()
-    else:
-        _, mu, lam = _fit_params(x, n)
-        diff = w @ lam @ w.T - g
-        cost = (diff * diff).sum()
+    mu, lam = (None, w.T @ tw) if obt is None else _fit_params(x, n)[1:]
+    # formed directly: |tbt|^2 - |lam|^2 cancels when the fragment explains tbt
+    diff = w @ lam @ w.T - g
+    cost = (diff * diff).sum()
     # (W lam W^T - tbt) W = W lam - tbt W, since W^T W = 1
     dw = w @ lam - tw
     gu = 8.0 * np.einsum("ija,ja->ia", (dw @ lam).reshape(n, n, n), u)

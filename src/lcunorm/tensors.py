@@ -10,6 +10,7 @@ the usual 8-fold index symmetry.  All energies are in Hartree.
 """
 
 import re
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 
@@ -152,23 +153,26 @@ def parse_fcidump(text):
 
 
 _DATA_ROW = np.dtype([("v", "f8"), ("i", "i8", (4,))])
-# bit p of a row's zero pattern is set when index p is 0; the valid patterns
-# are 0 (an (ij|kl) integral), 12 (a core-Hamiltonian entry), 15 (core energy)
-_VALID_ZEROS = np.isin(np.arange(16), (0, 12, 15))
 
 
 def _read_data(body, first_line, n):
-    """(values, m x 4 indices) of the data lines, read in one numpy pass after
-    a leading core energy of 0 (the value when none is given).  On a
-    malformed line or an invalid index the lines are rescanned, and the first
-    bad one raises ParseError."""
+    """(values, m x 4 indices) of the data lines after a leading core energy
+    of 0 (the value when none is given).  They are read in one numpy pass;
+    if that fails or finds an invalid index, they are read line by line, and
+    the first bad line raises ParseError."""
     try:
-        rows = np.loadtxt([" 0 0 0 0 0", *body], dtype=_DATA_ROW, ndmin=1, comments=None)
-        idx = np.ascontiguousarray(rows["i"])
-        if _index_error(idx, n) is None:
+        with warnings.catch_warnings():
+            # older numpy reads an index "1.5" as 1 and only warns
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt([" 0 0 0 0 0", *body], dtype=_DATA_ROW, ndmin=1, comments=None)
+        idx, nz = rows["i"], rows["i"] != 0
+        # the line-by-line checks below: no zero index, or k = l = 0 and i, j both zero or not
+        pair = ~nz[:, 2:].any(1) & (nz[:, 0] == nz[:, 1])
+        if ((idx >= 0) & (idx <= n)).all() and (nz.all(1) | pair).all():
             return rows["v"], idx
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         pass
+    vals, idx = [0.0], [[0, 0, 0, 0]]
     for ln, raw in enumerate(body, start=first_line):
         parts = raw.split()
         if not parts:
@@ -176,28 +180,19 @@ def _read_data(body, first_line, n):
         if len(parts) != 5:
             raise ParseError(f"expected 'value i j k l', got {raw.strip()!r}", line=ln)
         try:
-            float(parts[0])
-            msg = _index_error(np.array([[int(p) for p in parts[1:]]]), n)
+            vals.append(float(parts[0]))
+            i, j, k, l = row = [int(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(str(exc), line=ln) from None
-        if msg:
-            raise ParseError(msg, line=ln)
-    # only lines that Python reads but numpy does not, such as 1_0 for 10
-    raise ParseError("data lines are not plain 'value i j k l' numbers", line=first_line)
-
-
-def _index_error(idx, n):
-    """Why the first invalid row of orbital indices (m x 4) is invalid, or None."""
-    bad = ((idx < 0) | (idx > n)).any(1) | ~_VALID_ZEROS[(idx == 0) @ (1, 2, 4, 8)]
-    if not bad.any():
-        return None
-    i, j, k, l = row = idx[np.argmax(bad)]
-    out = row[(row < 0) | (row > n)]
-    if out.size:
-        return f"orbital index {out[0]} outside [0, {n}]"
-    if k == l == 0:
-        return f"bad one-electron index pair ({i},{j})"
-    return f"bad index pattern ({i},{j},{k},{l})"
+        for p in row:
+            if p < 0 or p > n:
+                raise ParseError(f"orbital index {p} outside [0, {n}]", line=ln)
+        if k == l == 0 and (i == 0) != (j == 0):
+            raise ParseError(f"bad one-electron index pair ({i},{j})", line=ln)
+        if (k or l) and 0 in row:
+            raise ParseError(f"bad index pattern ({i},{j},{k},{l})", line=ln)
+        idx.append(row)
+    return np.array(vals), np.array(idx)
 
 
 def write_fcidump(rec):

@@ -405,6 +405,27 @@ def test_c8_csa_gradient_matches_finite_differences():
         assert _fd_check(fun, x, grad) < 1e-4
 
 
+def test_c8_csa_cost_near_an_exact_fragment():
+    # a target that one fragment explains exactly: the misfit at its rotation
+    # is rounding-level, not |T|^2 - |lam|^2 cancellation noise, and the
+    # gradient still matches finite differences next to it
+    rng = np.random.default_rng(43)
+    for n in (3, 4, 5):
+        theta = rng.uniform(-1.0, 1.0, size=theta_dim(n))
+        lam = rng.normal(size=(n, n))
+        target = fragment_tensor(CsaFragment(make_rotation(theta), lam + lam.T))
+        target /= np.linalg.norm(target)
+        cost, _ = _fragment_fit(theta, target)
+        assert 0.0 <= cost <= 1e-28
+        x = theta + 1e-5 * rng.normal(size=theta.size)
+        cost, grad = _fragment_fit(x, target)
+        assert 0.0 < cost < 1e-8
+        fun = lambda y: _fragment_fit(y, target)[0]
+        # relative to |grad| ~ 1e-5: _fd_check would allow an absolute 1e-4
+        fd = _fd_check(fun, x, np.zeros_like(x), step=1e-7)
+        assert _fd_check(fun, x, grad, step=1e-7) <= 1e-4 * fd
+
+
 def test_c8_split_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
     n = 3

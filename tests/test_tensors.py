@@ -68,6 +68,9 @@ def test_parse_slash_terminator():
         ("&FCI NORB=1,NELEC=1\n&END\n 1.0 1 1\n", "value i j k l"),
         ("&FCI NORB=1,NELEC=1\n&END\n 1.0 2 1 1 1\n", "outside"),
         ("&FCI NORB=2,NELEC=2\n&END\n 1.0 1 0 1 1\n", "index pattern"),
+        # an index must be an integer, not a float with an integer part
+        ("&FCI NORB=2,NELEC=2\n&END\n 1.0 1.5 1 1 1\n", "int()"),
+        ("&FCI NORB=2,NELEC=2\n&END\n 1.0 1.0 1 1 1\n", "int()"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -86,6 +89,17 @@ def test_later_lines_overwrite_earlier():
     for idx in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
         assert rec.eri[idx] == 0.25
     assert rec.eri[0, 0, 0, 0] == 0.6
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_line_by_line_read_matches_bulk_read(name):
+    # numpy does not read "0_0", Python's float() does: the data lines are
+    # then read one by one, and the record must come out bit for bit the same
+    text = write_fcidump(load_fixture(name))
+    rec = parse_fcidump(text.replace(" &END\n", " &END\n 0_0 0 0 0 0\n"))
+    ref = parse_fcidump(text)
+    assert rec.core_energy == ref.core_energy
+    assert np.array_equal(rec.core_h, ref.core_h) and np.array_equal(rec.eri, ref.eri)
 
 
 def test_parse_error_carries_line_number():
