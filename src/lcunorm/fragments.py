@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import logm
+from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError
 from .tensors import SpatialTensors
@@ -267,20 +269,41 @@ def _theta_grad(eig, gu):
     return z[rows, cols] - z[cols, rows]
 
 
-_CSA_RESTARTS = 3  # fresh starts per fragment before CSA declares stagnation
 _CSA_FRAGS_PER_ORBITAL = 50  # CSA fails past this many fragments per orbital
+
+
+def _df_start(tbt):
+    """Theta of a rotation that diagonalizes the leading DF fragment of tbt.
+
+    Its pair columns span the leading eigenvector of the n^2 x n^2 matrix,
+    so there the misfit is at most |tbt|^2 - w_max^2 <= (1 - 1/n^2) |tbt|^2.
+    The columns (the fragment ignores their order and signs) are moved onto
+    a positive diagonal, the smallest flipped back if det is -1, so that
+    the log is real and small.
+    """
+    n = tbt.shape[0]
+    w, v = np.linalg.eigh(tbt.reshape(n * n, n * n))
+    ell = v[:, np.argmax(np.abs(w))].reshape(n, n)
+    u = np.linalg.eigh(0.5 * (ell + ell.T))[1]
+    u = u[:, linear_sum_assignment(-np.abs(u))[1]]
+    u = u * np.where(np.diag(u) < 0, -1.0, 1.0)
+    if np.linalg.det(u) < 0:
+        u[:, np.argmin(np.diag(u))] *= -1.0
+    a = logm(u).real
+    return (0.5 * (a - a.T))[_tril(n, -1)]
 
 
 def csa_greedy(t, stop_tol=1e-6, seed=0):
     """Greedy CSA: repeatedly fit one fragment to the two-electron residual.
 
-    Each fit minimizes the squared Frobenius norm of (residual - fragment)
-    over the rotation theta alone, starting from small random theta; lam is
-    the projection of the residual onto the rotation's pair columns (see
-    _fragment_fit).  Up to _CSA_RESTARTS fresh starts are tried before
-    declaring stagnation.  Stops when the residual Frobenius norm falls to
-    stop_tol; raises NumericalError if that takes more than
-    _CSA_FRAGS_PER_ORBITAL fragments per orbital.
+    Each fragment is one BFGS fit of the squared Frobenius norm of
+    (residual - fragment) over the rotation theta alone; lam is the
+    projection of the residual onto the rotation's pair columns (see
+    _fragment_fit).  The fit starts from the residual's leading DF rotation
+    (_df_start) plus a seeded perturbation in (-0.01, 0.01), without which
+    BFGS can stall on that stationary point.  Stops when the residual
+    Frobenius norm falls to stop_tol; raises NumericalError if that takes
+    more than _CSA_FRAGS_PER_ORBITAL fragments per orbital.
     """
     from .optimize import OptimizerConfig, minimize
 
@@ -305,20 +328,14 @@ def csa_greedy(t, stop_tol=1e-6, seed=0):
         # fit the unit-normalized residual so the cost stays O(1); the best
         # rotation does not depend on the scale
         scaled = target / rnorm
-        best_x, best_f = None, 1.0
-        for _ in range(_CSA_RESTARTS):
-            x0 = rng.uniform(-0.01, 0.01, size=theta_dim(n))
-            x, fval, _ = minimize(lambda y: _fragment_fit(y, scaled), x0, cfg, jac=True)
-            if fval < best_f:
-                best_x, best_f = x, fval
-            if best_f < 0.5:
-                break
-        if best_x is None or best_f > 1.0 - 1e-9:
+        x0 = _df_start(scaled) + rng.uniform(-0.01, 0.01, size=theta_dim(n))
+        x, fval, _ = minimize(lambda y: _fragment_fit(y, scaled), x0, cfg, jac=True)
+        if fval > 1.0 - 1e-9:
             raise NumericalError(
                 f"CSA stagnated at fragment {len(frags)}: residual {rnorm:.3e}",
                 payload={"residual": rnorm, "n_fragments": len(frags)},
             )
-        rot = make_rotation(best_x)
+        rot = make_rotation(x)
         w = _pair_columns(rot.u)
         frag = CsaFragment(rot, w.T @ target.reshape(n * n, n * n) @ w)
         target -= fragment_tensor(frag)

@@ -73,7 +73,7 @@ __all__ = [
 # code that computes it changes, together with every entry read from it, so
 # that results of the older code miss; revision 1 keeps the original key.
 _REVISIONS = {"oo-theta": 4, "oo-pauli": 4, "oo-ac": 4, "de2": 3, "split": 2}
-_REVISIONS |= {"gcsa-frags": 2, "gcsa-f": 2, "gcsa-sr": 2}
+_REVISIONS |= {"gcsa-frags": 3, "gcsa-f": 3, "gcsa-sr": 3}
 
 
 @dataclass

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 from oracles import dense_hamiltonian, random_spatial
+from scipy.optimize import linear_sum_assignment
 
 from lcunorm.errors import NumericalError
 from lcunorm.fragments import (
     CsaFragment,
     DfFragment,
     OrbitalRotation,
+    _df_start,
     _fragment_fit,
     _pack_dim,
+    _pair_columns,
     csa_greedy,
     double_factorize,
     fragment_lambda_matrix,
@@ -147,6 +150,71 @@ def test_csa_fails_fast_at_the_fragment_cap(monkeypatch):
         csa_greedy(lih, stop_tol=1e-6, seed=0)
     assert exc.value.payload["n_fragments"] == 6
     assert exc.value.payload["residual"] > 1e-6
+
+
+@pytest.mark.parametrize("name", ["h2", "lih", "beh2", "h2o", "nh3", "random"])
+def test_df_start_is_the_leading_df_rotation(name):
+    # the start has the pair projector W W^T of the leading DF fragment, so
+    # its misfit is at most |T|^2 - w_max^2 <= (1 - 1/n^2) |T|^2.  The
+    # random tensor's leading eigenvalue is negative.  Both sides see the
+    # same tensor: eigh's basis of a repeated eigenvalue of the reshaped
+    # eigenvector depends on its last bits
+    if name == "random":
+        t = random_spatial(5, np.random.default_rng(2))
+    else:
+        t = to_chemist(load_fixture(name))
+    n = t.n_orb
+    theta = _df_start(t.tbt)
+    w_start, w_df = _pair_columns(make_rotation(theta).u), _pair_columns(double_factorize(t)[0].u)
+    assert np.abs(w_start @ w_start.T - w_df @ w_df.T).max() <= 1e-10
+    norm2 = (t.tbt**2).sum()
+    w_max = np.abs(np.linalg.eigvalsh(t.tbt.reshape(n * n, n * n))).max()
+    assert w_max**2 >= norm2 / n**2
+    assert _fragment_fit(theta, t.tbt)[0] <= norm2 - w_max**2 + 1e-12 * norm2
+
+
+def test_df_start_turns_an_improper_frame_proper():
+    # an eigenvector frame whose columns, once on a positive diagonal, have
+    # det -1: a column sign flips so that the rotation has a real log
+    rng = np.random.default_rng(59)
+    for _ in range(10000):
+        u = np.linalg.qr(rng.normal(size=(8, 8)))[0]
+        q = u[:, linear_sum_assignment(-np.abs(u))[1]]
+        if np.linalg.det(q * np.where(np.diag(q) < 0, -1.0, 1.0)) < 0:
+            break
+    else:
+        pytest.fail("no improper frame found")
+    ell = (u * np.arange(1.0, 9.0)) @ u.T
+    w_start = _pair_columns(make_rotation(_df_start(np.einsum("ij,kl->ijkl", ell, ell))).u)
+    assert np.abs(w_start @ w_start.T - _pair_columns(u) @ _pair_columns(u).T).max() <= 1e-10
+
+
+def test_df_start_one_orbital():
+    theta = _df_start(np.full((1, 1, 1, 1), 2.0))
+    assert theta.shape == (0,)
+    assert make_rotation(theta).u.tolist() == [[1.0]]
+
+
+def test_csa_runs_one_fit_per_fragment(monkeypatch):
+    import lcunorm.optimize as opt
+
+    calls, real = [], opt.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(opt, "minimize", counting)
+    t = random_spatial(4, np.random.default_rng(47))
+    frags = csa_greedy(t, stop_tol=1e-6, seed=0)
+    assert len(frags) > 1
+    assert len(calls) == len(frags)
+
+
+def test_csa_is_deterministic_per_seed():
+    t = to_chemist(load_fixture("lih"))
+    runs = [fragments_to_json(csa_greedy(t, stop_tol=1e-3, seed=5)) for _ in range(2)]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("with_obt", [False, True], ids=["csa", "split"])
