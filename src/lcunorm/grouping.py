@@ -1,27 +1,37 @@
 """Anticommuting grouping of Pauli polynomials.
 
 Groups are formed by sorted insertion: terms are visited in order of
-decreasing |coefficient| (ties broken lexicographically by word string) and
-each joins the first existing group whose members all anticommute with it.
-A group with coefficients c_1..c_n contributes sqrt(sum c_k^2) to the
-1-norm, since the normalized group sum extends to a reflection.
+decreasing |coefficient| and each joins the first existing group whose
+members all anticommute with it.  A group with coefficients c_1..c_n
+contributes sqrt(sum c_k^2) to the 1-norm, since the normalized group sum
+extends to a reflection.
+
+Ties are broken on clusters of |c|, not on exact values.  In the sorted
+magnitudes a new cluster starts wherever the gap to the previous one
+exceeds TIE_TOL * max|c|; inside a cluster the terms go in word order
+(letters I < X < Y < Z, qubit 0 first).  Spin symmetry makes many
+coefficients equal up to their last bits, and those bits depend on the
+order in which the mapping summed them, so this keeps the partition a
+function of the operator alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _word_string
+from .pauli import _unpack
 
 __all__ = ["AcGroup", "AcPartition", "sorted_insertion"]
+
+TIE_TOL = 1e-10
 
 
 @dataclass
 class AcGroup:
-    """One anticommuting set, in insertion (descending |coefficient|) order."""
+    """One anticommuting set (packed keys), in insertion order."""
 
     n_qubits: int
-    keys: list
+    keys: np.ndarray
     coeffs: np.ndarray
 
     @property
@@ -38,66 +48,45 @@ class AcPartition:
         return float(sum(g.norm for g in self.groups))
 
 
+def _word_order(keys, n_qubits):
+    """A key that sorts words as their letter strings do: base 4, qubit 0 the
+    leading digit, with the digit x + z*(3 - 2x) giving I, X, Y, Z = 0..3."""
+    x, z = _unpack(keys)
+    out = np.zeros_like(keys)
+    for q in range(n_qubits):
+        xq, zq = (x >> np.uint64(q)) & np.uint64(1), (z >> np.uint64(q)) & np.uint64(1)
+        out = (out << np.uint64(2)) | (xq + zq * (np.uint64(3) - np.uint64(2) * xq))
+    return out
+
+
 def _insertion_order(poly):
-    items = [(xz, c) for xz, c in poly.raw_items() if xz != (0, 0)]
-    items.sort(key=lambda kc: (-abs(kc[1]), _word_string(poly.n_qubits, *kc[0])))
-    return items
+    """Non-identity keys and coefficients, by |c| cluster and then word order."""
+    keep = poly.keys != 0
+    keys, coeffs = poly.keys[keep], poly.coeffs[keep]
+    mags = np.abs(coeffs)
+    by_mag = np.argsort(-mags, kind="stable")
+    gaps = -np.diff(mags[by_mag]) > TIE_TOL * mags.max(initial=0.0)
+    cluster = np.empty(len(keys), dtype=np.intp)
+    cluster[by_mag] = np.concatenate([[0], np.cumsum(gaps)])
+    order = np.lexsort((_word_order(keys, poly.n_qubits), cluster))
+    return keys[order], coeffs[order]
 
 
 def sorted_insertion(poly):
     """Partition the non-identity terms of a polynomial into anticommuting groups."""
-    items = _insertion_order(poly)
-    n_qubits = poly.n_qubits
-    member_groups = []  # group index per accepted term
-    group_sizes = []
-
-    if n_qubits <= 63 and items:
-        acc_x = np.zeros(len(items), dtype=np.uint64)
-        acc_z = np.zeros(len(items), dtype=np.uint64)
-        gid = np.zeros(len(items), dtype=np.intp)
-        count = 0
-        for (x, z), _ in items:
-            target = len(group_sizes)
-            if count:
-                xs, zs = acc_x[:count], acc_z[:count]
-                anti = (
-                    np.bitwise_count(xs & np.uint64(z)) + np.bitwise_count(zs & np.uint64(x))
-                ) % 2 == 1
-                ok = np.ones(len(group_sizes), dtype=bool)
-                np.logical_and.at(ok, gid[:count], anti)
-                hits = np.flatnonzero(ok)
-                if hits.size:
-                    target = int(hits[0])
-            if target == len(group_sizes):
-                group_sizes.append(0)
-            group_sizes[target] += 1
-            member_groups.append(target)
-            acc_x[count], acc_z[count], gid[count] = x, z, target
-            count += 1
-    else:
-        accepted = []  # (x, z, group)
-        for (x, z), _ in items:
-            target = len(group_sizes)
-            ok = [True] * len(group_sizes)
-            for ax, az, g in accepted:
-                if ok[g] and ((ax & z).bit_count() + (az & x).bit_count()) % 2 == 0:
-                    ok[g] = False
-            for g, flag in enumerate(ok):
-                if flag:
-                    target = g
-                    break
-            if target == len(group_sizes):
-                group_sizes.append(0)
-            group_sizes[target] += 1
-            member_groups.append(target)
-            accepted.append((x, z, target))
-
-    keys = [[] for _ in group_sizes]
-    coeffs = [[] for _ in group_sizes]
-    for ((xz), c), g in zip(items, member_groups):
-        keys[g].append(xz)
-        coeffs[g].append(c)
-    groups = [
-        AcGroup(n_qubits, k, np.asarray(c, dtype=float)) for k, c in zip(keys, coeffs)
-    ]
-    return AcPartition(n_qubits, groups)
+    keys, coeffs = _insertion_order(poly)
+    if not len(keys):
+        return AcPartition(poly.n_qubits, [])
+    x, z = _unpack(keys)
+    gid = np.empty(len(keys), dtype=np.intp)
+    n_groups = 0
+    for t in range(len(keys)):
+        # members that commute with term t bar their group from taking it
+        commute = np.bitwise_count((x[:t] & z[t]) ^ (z[:t] & x[t])) % 2 == 0
+        free = np.flatnonzero(np.bincount(gid[:t][commute], minlength=n_groups) == 0)
+        gid[t] = free[0] if free.size else n_groups
+        n_groups = max(n_groups, gid[t] + 1)
+    members = np.split(np.argsort(gid, kind="stable"), np.cumsum(np.bincount(gid))[:-1])
+    return AcPartition(
+        poly.n_qubits, [AcGroup(poly.n_qubits, keys[m], coeffs[m]) for m in members]
+    )

@@ -1,15 +1,18 @@
 """Sparse Pauli operator algebra with the Jordan-Wigner mapping.
 
 Spin-orbitals map to qubits as p = 2*i + sigma (interleaved spins), i
-0-based spatial.  Pauli words are stored as (x, z) bitmasks where qubit q
+0-based spatial.  A Pauli word is a pair of bitmasks (x, z): qubit q
 carries X when bit q of x is set, Z when bit q of z is set, and Y when both
 are set; the word operator is the literal tensor product of those letters.
+The two masks are packed into one uint64 key, x << 32 | z, which caps the
+qubit count at MAX_QUBITS.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import NumericalError
 from .fragments import _tril
 from .tensors import _one_body_adjust
 
@@ -19,62 +22,52 @@ __all__ = [
     "lambda_pauli_closed_form",
 ]
 
-_LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
 PRUNE_TOL = 1e-14
+MAX_QUBITS = 32  # each mask takes one half of a 64-bit key
+_HALF = np.uint64(MAX_QUBITS)
+_PHASES = np.array([1, 1j, -1, -1j])
 
 
-def _mul_masks(x1, z1, x2, z2):
-    """Product of two letter words: returns (k, x3, z3) with P1 P2 = i^k P3."""
-    x3 = x1 ^ x2
-    z3 = z1 ^ z2
-    k = (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (z1 & x2).bit_count()
-    ) % 4
-    return k, x3, z3
+def _check_qubits(n_qubits):
+    if n_qubits > MAX_QUBITS:
+        raise NumericalError(
+            f"{n_qubits} qubits exceed the {MAX_QUBITS}-qubit limit of 64-bit "
+            f"packed Pauli keys ({MAX_QUBITS // 2} orbitals)"
+        )
 
 
-def _word_string(n_qubits, x, z):
-    """Letters of the word (x, z), qubit 0 first."""
-    return "".join(_LETTERS[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in range(n_qubits))
+def _unpack(keys):
+    """The (x, z) masks of packed keys."""
+    return keys >> _HALF, keys & ((np.uint64(1) << _HALF) - np.uint64(1))
 
 
 class PauliPolynomial:
-    """Real linear combination of Pauli words, keyed by (x, z) masks.
+    """Real linear combination of distinct Pauli words: packed keys and coefficients.
 
     Coefficients below 1e-14 are dropped at construction.  The identity
-    coefficient is kept in the map but excluded from the 1-norm.
+    (key 0) is kept but excluded from the 1-norm.
     """
 
-    def __init__(self, n_qubits, terms=None):
+    def __init__(self, n_qubits, keys, coeffs):
+        _check_qubits(n_qubits)
+        keys = np.asarray(keys, dtype=np.uint64)
+        coeffs = np.asarray(coeffs, dtype=float)
+        keep = np.abs(coeffs) >= PRUNE_TOL
         self.n_qubits = n_qubits
-        self._terms = {key: float(c) for key, c in (terms or {}).items() if abs(c) >= PRUNE_TOL}
+        self.keys = keys[keep]
+        self.coeffs = coeffs[keep]
 
     def __len__(self):
-        return len(self._terms)
-
-    def raw_items(self):
-        return self._terms.items()
+        return len(self.keys)
 
 
-def _ladder_terms(p, dagger):
-    """JW expansion of a_p (or a^dag_p) as [(complex coeff, x, z)]."""
-    zlow = (1 << p) - 1
-    sgn = -1j if dagger else 1j
-    return [(0.5, 1 << p, zlow), (0.5 * sgn, 1 << p, zlow | (1 << p))]
-
-
-def _excitation_terms(p, q):
-    """JW expansion of E^p_q = a^dag_p a_q over spin-orbital (qubit) indices."""
-    out = {}
-    for c1, x1, z1 in _ladder_terms(p, True):
-        for c2, x2, z2 in _ladder_terms(q, False):
-            k, x3, z3 = _mul_masks(x1, z1, x2, z2)
-            key = (x3, z3)
-            out[key] = out.get(key, 0.0) + c1 * c2 * 1j**k
-    return [(c, x, z) for (x, z), c in out.items() if abs(c) > 0.0]
+def _product(a, b):
+    """Broadcast products of words (x, z, c): P1 P2 = i^k P3 with its phase."""
+    (x1, z1, c1), (x2, z2, c2) = a, b
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    count = np.bitwise_count
+    k = count(x1 & z1).astype(int) + count(x2 & z2) - count(x3 & z3) + 2 * count(z1 & x2)
+    return x3, z3, c1 * c2 * _PHASES[k % 4]
 
 
 def jordan_wigner(t):
@@ -84,46 +77,36 @@ def jordan_wigner(t):
     Fock-space matrix of the input.
     """
     m = 2 * t.n_orb
-    exc = {}
-    for p in range(m):
-        for q in range(m):
-            exc[(p, q)] = _excitation_terms(p, q)
+    _check_qubits(m)
+    # a^dag_p = (X_p - i Y_p) Z_{<p} / 2 and a_p = (X_p + i Y_p) Z_{<p} / 2
+    bit = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    x = np.stack([bit, bit], axis=1)
+    z = np.stack([bit - 1, (bit - 1) | bit], axis=1)
+    up = (x[:, None, :, None], z[:, None, :, None], np.array([0.5, -0.5j])[:, None])
+    down = (x[None, :, None, :], z[None, :, None, :], np.array([0.5, 0.5j]))
+    # E^p_q = a^dag_p a_q over spin-orbitals: (m, m, 4) arrays of words
+    exc = [a.reshape(m, m, 4) for a in np.broadcast_arrays(*_product(up, down))]
 
-    acc = {(0, 0): complex(t.e0)}
+    i, j = np.nonzero(np.abs(t.obt) > PRUNE_TOL)
+    p, q = (np.concatenate([2 * a, 2 * a + 1]) for a in (i, j))
+    x, z, c = (a[p, q] for a in exc)
+    one = (x, z, c * np.tile(t.obt[i, j], 2)[:, None])
 
-    def add(scale, terms):
-        for c, x, z in terms:
-            key = (x, z)
-            acc[key] = acc.get(key, 0.0) + scale * c
+    idx = np.nonzero(np.abs(t.tbt) > PRUNE_TOL)
+    # (ij|kl) acts on the spin pairs (s, s') = 00, 01, 10, 11: E^is_js E^ks'_ls'
+    s, sp = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    p, q, r, u = (2 * a[:, None] + b for a, b in zip(idx, (s, s, sp, sp)))
+    x, z, c = (a[p, q][..., None] for a in exc)
+    v = t.tbt[idx][:, None, None, None]
+    two = _product((x, z, c * v), tuple(a[r, u][..., None, :] for a in exc))
 
-    for i, j in zip(*np.nonzero(np.abs(t.obt) > PRUNE_TOL)):
-        for s in (0, 1):
-            add(t.obt[i, j], exc[(2 * i + s, 2 * j + s)])
-
-    prod_cache = {}
-    g = t.tbt
-    for same_spin in (True, False):
-        for i, j, k, l in zip(*np.nonzero(np.abs(g) > PRUNE_TOL)):
-            v = g[i, j, k, l]
-            for s in (0, 1):
-                sp = s if same_spin else 1 - s
-                pq = (2 * i + s, 2 * j + s, 2 * k + sp, 2 * l + sp)
-                terms = prod_cache.get(pq)
-                if terms is None:
-                    combined = {}
-                    for c1, x1, z1 in exc[pq[:2]]:
-                        for c2, x2, z2 in exc[pq[2:]]:
-                            kk, x3, z3 = _mul_masks(x1, z1, x2, z2)
-                            key = (x3, z3)
-                            combined[key] = combined.get(key, 0.0) + c1 * c2 * 1j**kk
-                    terms = [(c, x, z) for (x, z), c in combined.items()]
-                    prod_cache[pq] = terms
-                add(v, terms)
-
-    worst = max((abs(c.imag) for c in acc.values()), default=0.0)
+    ident = (np.zeros(1, np.uint64), np.zeros(1, np.uint64), np.array([t.e0 + 0j]))
+    x, z, c = (np.concatenate([np.ravel(w) for w in words]) for words in zip(ident, one, two))
+    keys, inverse = np.unique(x << _HALF | z, return_inverse=True)
+    worst = np.abs(np.bincount(inverse, weights=c.imag)).max()
     if worst > 1e-10:
         raise ValueError(f"non-Hermitian accumulation: residual imag {worst:.3e}")
-    return PauliPolynomial(m, {key: c.real for key, c in acc.items()})
+    return PauliPolynomial(m, keys, np.bincount(inverse, weights=c.real))
 
 
 def lambda_pauli_closed_form(t):

@@ -72,7 +72,7 @@ __all__ = [
 # Revision of the algorithm behind each cache entry.  Bump an entry when the
 # code that computes it changes, together with every entry read from it, so
 # that results of the older code miss; revision 1 keeps the original key.
-_REVISIONS = {"oo-theta": 4, "oo-pauli": 4, "oo-ac": 4, "de2": 3, "split": 2}
+_REVISIONS = {"oo-theta": 4, "oo-pauli": 4, "ac": 2, "oo-ac": 5, "de2": 3, "split": 2}
 _REVISIONS |= {"gcsa-frags": 3, "gcsa-f": 3, "gcsa-sr": 3}
 
 
@@ -216,7 +216,7 @@ class _MethodEngine:
 
     def _pauli(self, optimized):
         t, poly = self.frame(optimized)
-        count = sum(1 for k, c in poly.raw_items() if k != (0, 0) and abs(c) > COUNT_CUTOFF)
+        count = np.count_nonzero((poly.keys != 0) & (np.abs(poly.coeffs) > COUNT_CUTOFF))
         return _entry(lambda_pauli_closed_form(t), count)
 
     def _ac(self, optimized):

@@ -5,11 +5,12 @@ matrices built entry by entry in the occupation basis (bit p of the basis
 index is the occupation of spin-orbital p = 2*i + sigma), Hamiltonians
 assembled by explicit loops.  Usable up to ~12 modes.  The rest is code
 that the library does not run: spin-resolved two-electron tensors, Pauli
-words with their products and matrices, the Majorana-operator route to
-Pauli words, the pairwise check and the dense reflection of an
-anticommuting group, the spectrum at a fixed electron number, the
-symmetry-shift problem as a linear program, and the theta gradient of a
-rotation through scipy's Frechet derivative of the matrix exponential.
+words with their products and matrices, the Jordan-Wigner mapping as a
+word-by-word dict loop, the Majorana-operator route to Pauli words, the
+pairwise check and the dense reflection of an anticommuting group, the
+spectrum at a fixed electron number, the symmetry-shift problem as a
+linear program, and the theta gradient of a rotation through scipy's
+Frechet derivative of the matrix exponential.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import scipy.linalg
 from lcunorm.errors import NumericalError
 from lcunorm.fragments import _tril
 from lcunorm.grouping import sorted_insertion
-from lcunorm.pauli import PRUNE_TOL, PauliPolynomial, _mul_masks, _word_string
+from lcunorm.pauli import PRUNE_TOL, PauliPolynomial
 from lcunorm.spectra import _Sector
 from lcunorm.symshift import weighted_median
 from lcunorm.tensors import SpatialTensors
@@ -212,6 +213,49 @@ def random_spin2e(n, rng, scale=1.0):
 
 # ---- Pauli words and polynomials as dense matrices -------------------------
 
+_LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
+
+
+def _mul_masks(x1, z1, x2, z2):
+    """Product of two letter words: returns (k, x3, z3) with P1 P2 = i^k P3."""
+    x3 = x1 ^ x2
+    z3 = z1 ^ z2
+    k = (
+        (x1 & z1).bit_count()
+        + (x2 & z2).bit_count()
+        - (x3 & z3).bit_count()
+        + 2 * (z1 & x2).bit_count()
+    ) % 4
+    return k, x3, z3
+
+
+def _word_string(n_qubits, x, z):
+    """Letters of the word (x, z), qubit 0 first."""
+    return "".join(_LETTERS[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in range(n_qubits))
+
+
+def pack(x, z):
+    """The library's key of the word (x, z): x << 32 | z."""
+    return (x << 32) | z
+
+
+def unpack(key):
+    """(x, z) masks of a packed key."""
+    key = int(key)
+    return key >> 32, key & 0xFFFFFFFF
+
+
+def poly_from_terms(n_qubits, terms):
+    """PauliPolynomial from {(x, z): coefficient}."""
+    keys = [pack(x, z) for x, z in terms]
+    return PauliPolynomial(n_qubits, keys, list(terms.values()))
+
+
+def poly_terms(p):
+    """{(x, z): coefficient} of a polynomial, the identity included."""
+    return {unpack(k): float(c) for k, c in zip(p.keys, p.coeffs)}
+
+
 _MATS = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -273,23 +317,23 @@ def anticommutes(a, b):
 def pauli_polynomial(n_qubits, terms):
     """PauliPolynomial from {word string: coefficient}."""
     words = {PauliWord.from_string(s): c for s, c in terms.items()}
-    return PauliPolynomial(n_qubits, {(w.x, w.z): c for w, c in words.items()})
+    return poly_from_terms(n_qubits, {(w.x, w.z): c for w, c in words.items()})
 
 
 def lambda_pauli(p):
     """LCU 1-norm of a Pauli polynomial: sum of |c| over non-identity words."""
-    return sum(abs(c) for key, c in p.raw_items() if key != (0, 0))
+    return sum(abs(c) for key, c in poly_terms(p).items() if key != (0, 0))
 
 
 def poly_items(p):
     """(PauliWord, coefficient) pairs in lexicographic word order."""
-    out = [(PauliWord(p.n_qubits, x, z), c) for (x, z), c in p.raw_items()]
+    out = [(PauliWord(p.n_qubits, x, z), c) for (x, z), c in poly_terms(p).items()]
     out.sort(key=lambda wc: str(wc[0]))
     return out
 
 
 def coefficient(p, word):
-    return dict(p.raw_items()).get((word.x, word.z), 0.0)
+    return poly_terms(p).get((word.x, word.z), 0.0)
 
 
 def identity_coefficient(p):
@@ -297,7 +341,7 @@ def identity_coefficient(p):
 
 
 def n_terms_nonidentity(p):
-    return sum(1 for key, _ in p.raw_items() if key != (0, 0))
+    return sum(1 for key in poly_terms(p) if key != (0, 0))
 
 
 def poly_matrix(p):
@@ -311,6 +355,68 @@ def poly_matrix(p):
 def dumps(p):
     """One term per line, 'coefficient letters', lexicographic word order."""
     return "\n".join(f"{c:.16g} {word}" for word, c in poly_items(p))
+
+
+# ---- Jordan-Wigner one term at a time --------------------------------------
+
+
+def _ladder_terms(p, dagger):
+    """JW expansion of a_p (or a^dag_p) as [(complex coeff, x, z)]."""
+    zlow = (1 << p) - 1
+    sgn = -1j if dagger else 1j
+    return [(0.5, 1 << p, zlow), (0.5 * sgn, 1 << p, zlow | (1 << p))]
+
+
+def _excitation_terms(p, q):
+    """JW expansion of E^p_q = a^dag_p a_q over spin-orbital (qubit) indices."""
+    out = {}
+    for c1, x1, z1 in _ladder_terms(p, True):
+        for c2, x2, z2 in _ladder_terms(q, False):
+            k, x3, z3 = _mul_masks(x1, z1, x2, z2)
+            key = (x3, z3)
+            out[key] = out.get(key, 0.0) + c1 * c2 * 1j**k
+    return [(c, x, z) for (x, z), c in out.items() if abs(c) > 0.0]
+
+
+def jordan_wigner_loop(t):
+    """The Jordan-Wigner mapping as a dict loop over (x, z) masks.
+
+    Multiplies out each excitation product word by word with _mul_masks, the
+    reference for the library's array mapping.
+    """
+    m = 2 * t.n_orb
+    exc = {(p, q): _excitation_terms(p, q) for p in range(m) for q in range(m)}
+    acc = {(0, 0): complex(t.e0)}
+
+    def add(scale, terms):
+        for c, x, z in terms:
+            acc[(x, z)] = acc.get((x, z), 0.0) + scale * c
+
+    for i, j in zip(*np.nonzero(np.abs(t.obt) > PRUNE_TOL)):
+        for s in (0, 1):
+            add(t.obt[i, j], exc[(2 * i + s, 2 * j + s)])
+
+    prod_cache = {}
+    g = t.tbt
+    for same_spin in (True, False):
+        for i, j, k, l in zip(*np.nonzero(np.abs(g) > PRUNE_TOL)):
+            for s in (0, 1):
+                sp = s if same_spin else 1 - s
+                pq = (2 * i + s, 2 * j + s, 2 * k + sp, 2 * l + sp)
+                if pq not in prod_cache:
+                    combined = {}
+                    for c1, x1, z1 in exc[pq[:2]]:
+                        for c2, x2, z2 in exc[pq[2:]]:
+                            kk, x3, z3 = _mul_masks(x1, z1, x2, z2)
+                            key = (x3, z3)
+                            combined[key] = combined.get(key, 0.0) + c1 * c2 * 1j**kk
+                    prod_cache[pq] = [(c, x, z) for (x, z), c in combined.items()]
+                add(g[i, j, k, l], prod_cache[pq])
+
+    worst = max(abs(c.imag) for c in acc.values())
+    if worst > 1e-10:
+        raise ValueError(f"non-Hermitian accumulation: residual imag {worst:.3e}")
+    return poly_from_terms(m, {key: c.real for key, c in acc.items()})
 
 
 # ---- Majorana algebra: a second route from tensors to Pauli words ---------
@@ -380,7 +486,7 @@ def majorana_to_pauli(mp):
         if abs(coeff.imag) > 1e-10 * max(1.0, abs(c)):
             raise ValueError("Majorana monomial translated to non-Hermitian term")
         acc[(x, z)] = acc.get((x, z), 0.0) + coeff.real
-    return PauliPolynomial(n_qubits, acc)
+    return poly_from_terms(n_qubits, acc)
 
 
 def majorana_separate(o):
@@ -486,7 +592,7 @@ def lambda_ac(obj):
 
 
 def group_words(group):
-    return [PauliWord(group.n_qubits, x, z) for x, z in group.keys]
+    return [PauliWord(group.n_qubits, *unpack(key)) for key in group.keys]
 
 
 def validate_partition(part):

@@ -46,7 +46,7 @@ from lcunorm.fragments import (
 )
 from lcunorm.grouping import sorted_insertion
 from lcunorm.optimize import _oo_cost, minimize
-from lcunorm.pauli import jordan_wigner, lambda_pauli_closed_form
+from lcunorm.pauli import PauliPolynomial, jordan_wigner, lambda_pauli_closed_form
 from lcunorm.pipeline import _METHODS, _MethodEngine, prepare, run_pipeline
 from lcunorm.spectra import minimal_lcu, spectral_range
 from lcunorm.symshift import SymmetryShift, apply_shift
@@ -58,6 +58,7 @@ from oracles import (
     absorb_one_body,
     dense_hamiltonian,
     expm_frechet_theta_grad,
+    jordan_wigner_loop,
     lambda_pauli,
     majorana_separate,
     majorana_to_pauli,
@@ -314,6 +315,56 @@ def test_c5_csa_residual_on_fixtures(runner, molecule):
         _certify_gcsa(t, frags, runner.report(molecule, variant).methods)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("molecule", MOLECULES)
+def test_c5_jw_matches_the_loop_oracle(runner, molecule, variant):
+    # in the input orbitals and in the cached OO-optimal ones
+    engine = runner.engine(molecule, variant)
+    for optimized in (False, True):
+        t, poly = engine.frame(optimized)
+        loop = jordan_wigner_loop(t)
+        got = dict(zip(poly.keys.tolist(), poly.coeffs))
+        want = dict(zip(loop.keys.tolist(), loop.coeffs))
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+        ac, ac_loop = sorted_insertion(poly).one_norm(), sorted_insertion(loop).one_norm()
+        assert abs(ac - ac_loop) <= 1e-12 * ac_loop
+
+
+@pytest.mark.parametrize(("molecule", "variant"), [("lih", "residual"), ("nh3", "raw")])
+def test_c5_partition_ignores_the_term_order(runner, molecule, variant):
+    poly = runner.engine(molecule, variant).frame(False)[1]
+    part = sorted_insertion(poly)
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        perm = rng.permutation(len(poly))
+        shuffled = PauliPolynomial(poly.n_qubits, poly.keys[perm], poly.coeffs[perm])
+        other = sorted_insertion(shuffled)
+        assert [g.keys.tolist() for g in other.groups] == [g.keys.tolist() for g in part.groups]
+        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(other.groups, part.groups))
+
+
+_EIGHTFOLD = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
+_EIGHTFOLD += [(p[2], p[3], p[0], p[1]) for p in _EIGHTFOLD]
+
+
+@pytest.mark.parametrize(
+    ("molecule", "variant"),
+    [("lih", "raw"), ("lih", "residual"), ("beh2", "raw"), ("beh2", "residual"), ("nh3", "raw")],
+)
+def test_ac_stable_under_last_bit_noise(runner, molecule, variant):
+    # 1e-15 relative noise with the tensor's symmetry breaks the exact |c|
+    # ties that spin symmetry makes; the clustered tie order must not care
+    t = runner.prepared(molecule, variant).tensors
+    base = sorted_insertion(jordan_wigner(t)).one_norm()
+    rng = np.random.default_rng(73)
+    for _ in range(3):
+        r = sum(rng.normal(size=t.tbt.shape).transpose(p) for p in _EIGHTFOLD) / 8.0
+        noisy = t.replace(tbt=t.tbt * (1.0 + 1e-15 * r))
+        lam = sorted_insertion(jordan_wigner(noisy)).one_norm()
+        assert abs(lam - base) <= 1e-9 * base, f"AC {base!r} -> {lam!r}"
+
+
 # ---- criterion 6: inequalities and identities -----------------------------
 
 
@@ -534,10 +585,10 @@ def _certify_partition(poly, entry, what):
     validate_partition(part)
     held = {}
     for group in part.groups:
-        for key, c in zip(group.keys, group.coeffs):
+        for key, c in zip(group.keys.tolist(), group.coeffs):
             assert key not in held, f"{what}: a term sits in two groups"
             held[key] = c
-    assert held == {key: c for key, c in poly.raw_items() if key != (0, 0)}
+    assert held == {k: c for k, c in zip(poly.keys.tolist(), poly.coeffs) if k != 0}
     _assert_reported(part.one_norm(), entry, what)
 
 

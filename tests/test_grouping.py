@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from oracles import (
     PauliWord,
+    _word_string,
     group_angles,
     group_unitary,
     group_words,
     lambda_ac,
     lambda_pauli,
+    pack,
     pauli_polynomial,
+    unpack,
     random_spatial,
     validate_partition,
 )
 
-from lcunorm.grouping import AcGroup, sorted_insertion
+from lcunorm.errors import NumericalError
+from lcunorm.grouping import AcGroup, _word_order, sorted_insertion
 from lcunorm.pauli import PauliPolynomial, jordan_wigner
 from lcunorm.tensors import load_fixture, to_chemist
 
@@ -30,10 +34,10 @@ def test_partition_covers_terms():
     validate_partition(part)
     seen = {}
     for g in part.groups:
-        for key, c in zip(g.keys, g.coeffs):
+        for key, c in zip(g.keys.tolist(), g.coeffs):
             assert key not in seen
             seen[key] = c
-    expected = {k: c for k, c in poly.raw_items() if k != (0, 0)}
+    expected = {k: c for k, c in zip(poly.keys.tolist(), poly.coeffs) if k != 0}
     assert seen.keys() == expected.keys()
     for k, c in expected.items():
         assert seen[k] == c
@@ -44,24 +48,29 @@ def test_partition_deterministic():
     rng2 = np.random.default_rng(43)
     p1 = sorted_insertion(_poly(2, rng1))
     p2 = sorted_insertion(_poly(2, rng2))
-    assert [g.keys for g in p1.groups] == [g.keys for g in p2.groups]
+    assert [g.keys.tolist() for g in p1.groups] == [g.keys.tolist() for g in p2.groups]
 
 
-def test_wide_words_group_as_the_vectorized_branch_does():
-    # above 63 qubits the masks no longer fit uint64 and sorted_insertion
-    # takes its pure-Python branch; the same words on 10 qubits take the
-    # vectorized one.  Repeated magnitudes exercise the word-string tie-break.
-    rng = np.random.default_rng(67)
-    masks = rng.integers(0, 1 << 10, size=(300, 2))
-    mags = rng.choice([0.25, 0.5, 1.0, 2.0], size=300) * rng.choice([-1.0, 1.0], size=300)
-    terms = {(int(x), int(z)): float(c) for (x, z), c in zip(masks, mags)}
-    narrow = sorted_insertion(PauliPolynomial(10, terms))
-    wide = sorted_insertion(PauliPolynomial(64, terms))
-    validate_partition(wide)
-    assert len(narrow.groups) > 1
-    assert [g.keys for g in wide.groups] == [g.keys for g in narrow.groups]
-    for gw, gn in zip(wide.groups, narrow.groups):
-        assert np.array_equal(gw.coeffs, gn.coeffs)
+@pytest.mark.parametrize("n", [1, 5, 32])
+def test_word_order_sorts_as_the_letter_strings(n):
+    rng = np.random.default_rng(67 + n)
+    x, z = rng.integers(0, 1 << n, size=(2, 500), dtype=np.uint64)
+    keys = pack(x, z)
+    words = [_word_string(n, *unpack(k)) for k in keys]
+    assert [words[i] for i in np.argsort(_word_order(keys, n))] == sorted(words)
+
+
+def test_more_than_16_orbitals_raise_before_the_mapping():
+    # x and z share one 64-bit key, so 32 qubits is the limit.  The tensors
+    # stand-in has no arrays: touching them would raise TypeError, not the
+    # limit, so the check comes before any mapping work.
+    class Seventeen:
+        n_orb, e0, obt, tbt = 17, 0.0, None, None
+
+    with pytest.raises(NumericalError, match="32-qubit limit of 64-bit"):
+        jordan_wigner(Seventeen())
+    with pytest.raises(NumericalError, match="32-qubit limit of 64-bit"):
+        PauliPolynomial(33, [], [])
 
 
 def test_group_coefficients_descend():
@@ -79,7 +88,7 @@ def test_norm_bounds():
             poly = _poly(n, rng)
             lam_p = lambda_pauli(poly)
             lam_ac = lambda_ac(poly)
-            total = np.sqrt(sum(c * c for k, c in poly.raw_items() if k != (0, 0)))
+            total = np.sqrt((poly.coeffs[poly.keys != 0] ** 2).sum())
             assert lam_ac <= lam_p + 1e-12
             assert lam_ac >= total - 1e-12
 
@@ -93,20 +102,20 @@ def test_lambda_ac_accepts_partition():
 
 
 def test_empty_and_identity_only():
-    assert sorted_insertion(PauliPolynomial(3, {})).groups == []
+    assert sorted_insertion(PauliPolynomial(3, [], [])).groups == []
     only_id = pauli_polynomial(3, {"III": 4.2})
     assert lambda_ac(only_id) == 0.0
 
 
 def test_singleton_unitary():
-    g = AcGroup(1, [(1, 0)], np.array([-0.3]))  # -0.3 X
+    g = AcGroup(1, np.array([pack(1, 0)], dtype=np.uint64), np.array([-0.3]))  # -0.3 X
     u = group_unitary(g)
     x = PauliWord.from_string("X").to_matrix()
     assert np.abs(u - (-1j) * x).max() < 1e-12
 
 
 def test_angles_formula():
-    g = AcGroup(2, [(1, 0), (2, 0)], np.array([0.8, -0.6]))
+    g = AcGroup(2, np.array([pack(1, 0), pack(2, 0)], dtype=np.uint64), np.array([0.8, -0.6]))
     th = group_angles(g)
     assert abs(th[0] - 0.5 * np.arcsin(1.0)) < 1e-12
     assert abs(th[1] - 0.5 * np.arcsin(-0.6)) < 1e-12

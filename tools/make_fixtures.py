@@ -8,7 +8,12 @@ format with the package's own writer.  Run `--check` to compare a few H2
 integrals at R = 1.4 bohr against textbook reference values.
 
 This script is a one-off generator: the package itself only consumes the
-stored FCIDUMP files and never imports this module.
+stored FCIDUMP files and never imports this module.  With numpy 2.4.6 on
+a 2-core x86 machine it reproduces the committed `h2`, `lih`, `beh2` and
+`nh3` files byte for byte, but not `h2o`: it writes 284 lines against the
+committed 282, with last-digit differences in the integrals and two extra
+entries near the 1e-16 cutoff.  The committed `h2o.fcidump` stays the
+reference and is not regenerated.
 """
 
 import argparse
