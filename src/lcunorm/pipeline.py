@@ -4,7 +4,7 @@ One report holds every requested method's 1-norm plus its unitary count
 under the counting conventions below.  Reports are deterministic for a
 given seed and serialize to canonical JSON, so repeated runs are
 byte-identical and expensive decompositions can be disk-cached keyed by
-(input tensors, method, configuration).
+(input tensors, method, configuration, code).
 
 Counting conventions (M, reported alongside ceil(log2 M)): Pauli and
 OO-Pauli count non-identity terms above the cutoff; AC and OO-AC count
@@ -26,13 +26,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError
 from .fragments import (
-    CsaFragment,
     csa_greedy,
     double_factorize,
     fragment_lambda_matrix,
@@ -68,13 +68,6 @@ __all__ = [
     "emit_table",
     "METHOD_ORDER",
 ]
-
-# Revision of the algorithm behind each cache entry.  Bump an entry when the
-# code that computes it changes, together with every entry read from it, so
-# that results of the older code miss; revision 1 keeps the original key.
-_REVISIONS = {"oo-theta": 4, "oo-pauli": 4, "ac": 2, "oo-ac": 5, "de2": 3, "split": 2}
-_REVISIONS |= {"gcsa-frags": 3, "gcsa-f": 3, "gcsa-sr": 3}
-
 
 @dataclass
 class NormReport:
@@ -126,8 +119,18 @@ def _tensor_key(t):
     return h.hexdigest()[:24]
 
 
+@cache
+def _code_digest():
+    """Hash of the package's own sources: entries stored by other code miss."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + path.read_bytes())
+    return h.hexdigest()[:12]
+
+
 class _Cache:
-    """Disk entries of one tensor set under one set of optimizer settings.
+    """Disk entries of one tensor set under one set of optimizer settings,
+    computed by this version of the package's code.
 
     The directory defaults to $LCUNORM_CACHE_DIR; with neither, every
     entry is computed and nothing is stored.
@@ -140,12 +143,10 @@ class _Cache:
         if directory:
             os.makedirs(directory, exist_ok=True)
         digest = hashlib.sha256(json.dumps(_echo(optimizer), sort_keys=True).encode())
-        self.prefix = f"{_tensor_key(t)}-{digest.hexdigest()[:12]}"
+        self.prefix = f"{_tensor_key(t)}-{digest.hexdigest()[:12]}-{_code_digest()}"
 
     def key(self, name):
-        key = f"{self.prefix}-{name}"
-        revision = _REVISIONS.get(name, 1)
-        return key if revision == 1 else f"{key}-r{revision}"
+        return f"{self.prefix}-{name}"
 
     def fetch(self, name, compute):
         """The stored entry `name`, or compute() stored under its key."""
@@ -275,15 +276,10 @@ def _resolve_source(source):
 def _cached_split(t, optimizer, cache_dir):
     """Mean-field split of the tensors, disk-cached on the pre-split tensors."""
 
-    def compute():
-        h0 = split_interaction(t, optimizer).h0
-        lam = [list(row) for row in h0.lam]
-        return {"theta": list(h0.rotation.theta), "mu": list(h0.mu), "lam": lam}
-
-    doc = _Cache(cache_dir, t, optimizer).fetch("split", compute)
-    rotation = make_rotation(np.asarray(doc["theta"]))
-    h0 = CsaFragment(rotation, np.asarray(doc["lam"]), mu=np.asarray(doc["mu"]))
-    return PictureSplit.of(t, h0)
+    doc = _Cache(cache_dir, t, optimizer).fetch(
+        "split", lambda: {"h0": fragments_to_json([split_interaction(t, optimizer).h0])}
+    )
+    return PictureSplit.of(t, fragments_from_json(doc["h0"])[0])
 
 
 @dataclass

@@ -2,21 +2,14 @@
 
 import json
 import os
-import shutil
+from pathlib import Path
 
 import pytest
-from conftest import _VARIANTS, CACHE_DIR
+from conftest import _VARIANTS
 
 from lcunorm.cli import main
-from lcunorm.pipeline import (
-    METHOD_ORDER,
-    _Cache,
-    _MethodEngine,
-    emit_table,
-    prepare,
-    run_pipeline,
-)
-from lcunorm.tensors import FIXTURE_NAMES, fixture_path
+from lcunorm.pipeline import METHOD_ORDER, emit_table, run_pipeline
+from lcunorm.tensors import fixture_path
 
 FAST = ["de2", "pauli", "ac", "df"]
 
@@ -48,13 +41,47 @@ def test_path_input_matches_fixture_name(tmp_path):
     assert r_path.molecule == "h2"
 
 
-def test_json_reports_are_byte_identical():
-    a = emit_table([run_pipeline("h2", methods=FAST, seed=3)], fmt="json")
-    b = emit_table([run_pipeline("h2", methods=FAST, seed=3)], fmt="json")
+def _files(d):
+    return {p.name: p.read_bytes() for p in Path(d).iterdir()}
+
+
+# (molecule, variant, methods, seed); methods None is the session's full report
+DETERMINISM = [("h2", "raw", FAST, 3)] + [
+    (m, v, None, 0) for m in ("h2", "lih") for v in _VARIANTS
+]
+
+
+@pytest.mark.parametrize(
+    "molecule, variant, methods, seed",
+    DETERMINISM,
+    ids=["h2-fast-seed3"] + [f"{m}-{v}" for m, v, _, _ in DETERMINISM[1:]],
+)
+def test_json_reports_are_byte_identical(runner, tmp_path, molecule, variant, methods, seed):
+    # a second cold run into a fresh directory reproduces the first run's
+    # canonical JSON and its cache files (same names, same bytes); explicit
+    # directories, since a call without one reads $LCUNORM_CACHE_DIR
+    def cold(d):
+        kwargs = _VARIANTS[variant]
+        return run_pipeline(molecule, methods, seed=seed, cache_dir=d, **kwargs)
+
+    if methods is None:
+        first, first_dir = runner.report(molecule, variant), runner.cache_dir
+    else:
+        first_dir = str(tmp_path / "first")
+        first = cold(first_dir)
+    second = cold(str(tmp_path / "second"))
+    a, b = emit_table([first], fmt="json"), emit_table([second], fmt="json")
     assert a == b
     doc = json.loads(a)
-    assert doc["reports"][0]["molecule"] == "h2"
-    assert doc["reports"][0]["config"]["seed"] == 3
+    assert doc["reports"][0]["molecule"] == molecule
+    assert doc["reports"][0]["config"]["seed"] == seed
+    written = _files(str(tmp_path / "second"))
+    # an entry per method, plus the OO angles and the CSA fragments of a
+    # full report and the split of a residual one
+    extra = (2 if methods is None else 0) + (variant == "residual")
+    assert len(written) == len(first.methods) + extra
+    stored = _files(first_dir)
+    assert {f: stored.get(f) for f in written} == written
 
 
 @pytest.mark.parametrize("picture, max_iters", [("schrodinger", 500), ("interaction", 2000)])
@@ -71,29 +98,6 @@ def test_config_block_is_pinned(picture, max_iters):
         "max_iters": max_iters,
         "restarts": 2,
     }
-
-
-def test_committed_cache_holds_exactly_the_report_keys(tmp_path):
-    # Every entry that a full report of each fixture and variant reads must be
-    # in the committed cache, and nothing else: a refactor that moves a key
-    # would otherwise only show as minutes of recomputation.  Keys are derived
-    # against a copy, so the committed directory is never written.
-    copy = str(shutil.copytree(CACHE_DIR, tmp_path / "cache"))
-    names = METHOD_ORDER + ["oo-theta", "gcsa-frags"]
-    keys = set()
-    for molecule in FIXTURE_NAMES:
-        for kwargs in _VARIANTS.values():
-            p = prepare(molecule, cache_dir=copy, **kwargs)
-            cache = _MethodEngine(p, copy).cache
-            keys.update(cache.key(name) for name in names)
-            if p.split is not None:  # the split is keyed on the pre-split tensors
-                raw = prepare(molecule).tensors
-                keys.add(_Cache(copy, raw, p.optimizer).key("split"))
-    files = {f.removesuffix(".json") for f in os.listdir(CACHE_DIR)}
-    missing, orphaned = sorted(keys - files), sorted(files - keys)
-    assert not missing and not orphaned, (
-        f"keys with no file: {missing}; files with no key: {orphaned}"
-    )
 
 
 def test_every_entry_meets_spectral_floor():
@@ -220,26 +224,22 @@ def _poisoned_h2_cache(d):
     return first
 
 
-@pytest.mark.parametrize(
-    "bumped",
-    [["pauli"], ["oo-ac"], ["gcsa-sr"], ["gcsa-frags", "gcsa-f", "gcsa-sr"]],
-    ids=["pauli", "oo-ac", "gcsa-sr", "csa"],
-)
-def test_revision_bump_misses_only_that_method(tmp_path, monkeypatch, bumped):
-    # a change to csa_greedy bumps the fragments and both costings read from them
+def test_code_digest_change_misses_every_entry(tmp_path, monkeypatch):
     import lcunorm.pipeline as pl
 
     d = str(tmp_path)
     first = _poisoned_h2_cache(d)
     before = set(os.listdir(d))
-    for name in bumped:
-        monkeypatch.setitem(pl._REVISIONS, name, pl._REVISIONS.get(name, 1) + 1)
-    # de2 is left out: its poisoned floor would reject every recomputed value
-    second = run_pipeline("h2", methods=METHOD_ORDER[1:], cache_dir=d).methods
-    assert all(second[m] == first[m] for m in bumped if m in second)
-    assert all(e["lambda"] == 123.0 for m, e in second.items() if m not in bumped)
-    cache = _MethodEngine(prepare("h2"), d).cache
-    assert set(os.listdir(d)) - before == {cache.key(name) + ".json" for name in bumped}
+    # the same code hits every entry; de2 is left out, since its poisoned
+    # floor would reject every other value
+    warm = run_pipeline("h2", methods=METHOD_ORDER[1:], cache_dir=d).methods
+    assert all(e["lambda"] == 123.0 for e in warm.values())
+    assert set(os.listdir(d)) == before
+    # changed code misses every entry and stores each anew
+    monkeypatch.setattr(pl, "_code_digest", lambda: "0" * 12)
+    assert run_pipeline("h2", cache_dir=d).methods == first
+    after = set(os.listdir(d))
+    assert after > before and len(after - before) == len(before)
 
 
 def test_benchmark_tracer_records_every_layer(tmp_path, monkeypatch):
