@@ -47,7 +47,7 @@ from lcunorm.fragments import (
 from lcunorm.grouping import sorted_insertion
 from lcunorm.optimize import _oo_cost, minimize
 from lcunorm.pauli import PauliPolynomial, jordan_wigner, lambda_pauli_closed_form
-from lcunorm.pipeline import _MethodEngine, prepare, run_pipeline
+from lcunorm.pipeline import _METHODS, _MethodEngine, prepare, run_pipeline
 from lcunorm.spectra import minimal_lcu, spectral_range
 from lcunorm.symshift import SymmetryShift, apply_shift
 from lcunorm.tensors import SpatialTensors, load_fixture, one_body_adjust, to_chemist
@@ -689,6 +689,25 @@ def test_c9_certificates_reject_a_lowered_cache_entry(tmp_path, variant, method)
             _certify_gcsa(p.tensors, engine.gcsa_fragments, methods)
         else:
             _certify_residual(chemist("h2"), p.split, methods)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("molecule", MOLECULES)
+def test_entries_recomputed_from_intermediates_match_cache(runner, molecule, variant):
+    # The tables read every entry back from the session's cache.  This reruns
+    # each method but dE/2 (see test_half_range_recomputed_cold_matches_cache)
+    # on the tensors and the stored intermediates (orbital rotation, CSA
+    # fragments, split), so only the entry itself is bypassed: an entry or an
+    # intermediate that does not survive the disk round trip shows here.
+    engine = runner.engine(molecule, variant)
+    cached = runner.report(molecule, variant).methods
+    for method in METHODS[1:]:
+        fresh = _METHODS[method][1](engine)
+        want = cached[method]
+        assert fresh["unitary_count"] == want["unitary_count"], method
+        assert abs(fresh["lambda"] - want["lambda"]) <= 1e-12 * abs(want["lambda"]), (
+            f"{method}: cached {want['lambda']!r}, recomputed {fresh['lambda']!r}"
+        )
 
 
 # ---- count sanity (not value-gated): term and group tallies ----------------

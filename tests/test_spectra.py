@@ -181,3 +181,13 @@ def test_oversized_sectors_fail_before_allocating():
     with pytest.raises(NumericalError, match=r"n_alpha=6, n_beta=6.*GiB"):
         spectral_range(t)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("variant", ["raw", "shifted", "residual"])
+@pytest.mark.parametrize("molecule", ["h2", "lih", "beh2", "h2o", "nh3"])
+def test_half_range_recomputed_cold_matches_cache(runner, molecule, variant):
+    # the acceptance tables read dE/2 back from the session's cache; this
+    # recomputes it from the tensors that the stored entry was keyed on
+    cached = runner.entry(molecule, variant, "de2")["lambda"]
+    fresh = spectral_range(runner.prepared(molecule, variant).tensors).half_range
+    assert abs(fresh - cached) <= 1e-9 * abs(cached)
