@@ -20,7 +20,7 @@ from .fragments import (
     theta_dim,
 )
 from .grouping import AcGroup, AcPartition, sorted_insertion
-from .optimize import OptimizerConfig, minimize, oo_pauli
+from .optimize import minimize, oo_pauli
 from .pauli import PauliPolynomial, jordan_wigner, lambda_pauli_closed_form
 from .picture import PictureSplit, split_interaction
 from .pipeline import METHOD_ORDER, NormReport, emit_table, run_pipeline

@@ -270,6 +270,7 @@ def _theta_grad(eig, gu):
 
 
 _CSA_FRAGS_PER_ORBITAL = 50  # CSA fails past this many fragments per orbital
+_CSA_TOL_GRAD = 1e-9  # gradient tolerance of each greedy CSA fit
 
 
 def _df_start(tbt):
@@ -305,14 +306,13 @@ def csa_greedy(t, stop_tol=1e-6, seed=0):
     Frobenius norm falls to stop_tol; raises NumericalError if that takes
     more than _CSA_FRAGS_PER_ORBITAL fragments per orbital.
     """
-    from .optimize import OptimizerConfig, minimize
+    from .optimize import minimize
 
     if stop_tol <= 0:
         raise ValueError("stop_tol must be positive")
     n = t.n_orb
     rng = np.random.default_rng(seed)
     target = t.tbt.copy()
-    cfg = OptimizerConfig(tol_grad=1e-9, max_iters=2000)
     cap = _CSA_FRAGS_PER_ORBITAL * n
     frags = []
     while True:
@@ -329,7 +329,7 @@ def csa_greedy(t, stop_tol=1e-6, seed=0):
         # rotation does not depend on the scale
         scaled = target / rnorm
         x0 = _df_start(scaled) + rng.uniform(-0.01, 0.01, size=theta_dim(n))
-        x, fval, _ = minimize(lambda y: _fragment_fit(y, scaled), x0, cfg, jac=True)
+        x, fval, _ = minimize(lambda y: _fragment_fit(y, scaled), x0, _CSA_TOL_GRAD, jac=True)
         if fval > 1.0 - 1e-9:
             raise NumericalError(
                 f"CSA stagnated at fragment {len(frags)}: residual {rnorm:.3e}",
@@ -387,16 +387,13 @@ def lambda_complete_square(f):
 
 
 def reflection_term_count(lam, cutoff):
-    """Number of distinct reflection-pair products with |coefficient| > cutoff."""
-    n = lam.shape[0]
-    count = 0
-    for i in range(n):
-        if abs(lam[i, i] / 2.0) > cutoff:
-            count += 1
-        for j in range(i):
-            if abs(lam[i, j] / 2.0) > cutoff:
-                count += 4
-    return count
+    """Number of distinct reflection-pair products with |coefficient| > cutoff:
+    one per diagonal entry and four per pair below it, each at |lam_ij| / 2."""
+    half = np.abs(lam) / 2.0
+    return int(
+        np.count_nonzero(np.diag(half) > cutoff)
+        + 4 * np.count_nonzero(half[_tril(lam.shape[0], -1)] > cutoff)
+    )
 
 
 def fragments_to_json(frags):

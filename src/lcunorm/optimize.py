@@ -1,6 +1,5 @@
 """BFGS minimization wrapper and orbital-rotation 1-norm optimization."""
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -10,27 +9,17 @@ from .errors import NumericalError
 from .fragments import _antisymmetric, _expm_antisym, _rotate, _theta_grad, theta_dim
 from .pauli import _closed_form, lambda_pauli_closed_form
 
-__all__ = ["OptimizerConfig", "minimize", "oo_pauli"]
+__all__ = ["minimize", "oo_pauli"]
+
+# The searches' fixed settings: gradient tolerance (greedy CSA passes its
+# own), iteration cap of each BFGS run, and seeded restarts (see _starts).
+TOL_GRAD = 1e-8
+MAX_ITERS = 2000
+RESTARTS = 2
 
 # Pseudo-Huber widths that oo_pauli searches from every start: the plain
 # exact search, and a smoothed one (see oo_pauli).
 _OO_WIDTHS = (0.0, 1e-2)
-
-
-@dataclass
-class OptimizerConfig:
-    tol_grad: float = 1e-8
-    max_iters: int = 500
-    restarts: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tol_grad <= 0:
-            raise ValueError("tol_grad must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.restarts < 0:
-            raise ValueError("restarts must be non-negative")
 
 
 class _NonFinite(Exception):
@@ -38,14 +27,19 @@ class _NonFinite(Exception):
         self.x = x
 
 
-def minimize(f, x0, cfg=None, jac=False):
-    """Quasi-Newton descent; stops at ||grad||_inf <= tol_grad or max_iters.
+def _starts(x_base, seed):
+    """x_base and RESTARTS seeded perturbations of it, each entry in +-0.05."""
+    rng = np.random.default_rng(seed)
+    return [x_base] + [x_base + rng.uniform(-0.05, 0.05, x_base.size) for _ in range(RESTARTS)]
+
+
+def minimize(f, x0, tol_grad=TOL_GRAD, jac=False):
+    """Quasi-Newton descent; stops at ||grad||_inf <= tol_grad or MAX_ITERS.
 
     `f` returns the cost, or (cost, gradient) when jac=True.  Guarantees
     f(x*) <= f(x0).  A non-finite cost or gradient during the search raises
     NumericalError carrying the offending iterate.
     """
-    cfg = cfg or OptimizerConfig()
     x0 = np.asarray(x0, dtype=float)
 
     def checked(x):
@@ -68,7 +62,7 @@ def minimize(f, x0, cfg=None, jac=False):
             x0,
             jac=True if jac else "3-point",
             method="BFGS",
-            options={"gtol": cfg.tol_grad, "maxiter": cfg.max_iters},
+            options={"gtol": tol_grad, "maxiter": MAX_ITERS},
         )
     except _NonFinite as bad:
         raise NumericalError(
@@ -106,12 +100,12 @@ def _oo_cost(theta, t, width=0.0, grad=True):
     return cost, _theta_grad(eig, gu)
 
 
-def oo_pauli(t, cfg=None):
+def oo_pauli(t, seed=0):
     """Minimize the closed-form Pauli 1-norm over orbital rotations.
 
-    Starts from theta = 0 plus cfg.restarts seeded perturbations (scale
-    0.05).  From each start it runs two searches on the analytic
-    (sub)gradient: the exact closed form, and the pseudo-Huber surrogate
+    Starts from theta = 0 plus RESTARTS seeded perturbations (_starts).
+    From each start it runs two searches on the analytic (sub)gradient:
+    the exact closed form, and the pseudo-Huber surrogate
     |x| -> sqrt(x^2 + w^2) - w (w = 1e-2), which has no kinks, followed by
     the exact search from that optimum.  The best exact optimum is then
     polished by one search on finite differences of the exact cost, which
@@ -119,21 +113,17 @@ def oo_pauli(t, cfg=None):
     lambda is always the exact one, the lowest over all searches and never
     above the value at theta = 0.  Returns (theta*, lambda at theta*).
     """
-    cfg = cfg or OptimizerConfig()
     k = theta_dim(t.n_orb)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [np.zeros(k)]
-    starts += [rng.uniform(-0.05, 0.05, size=k) for _ in range(cfg.restarts)]
     best_x, best_f = None, np.inf
-    for x0 in starts:
+    for x0 in _starts(np.zeros(k), seed):
         for width in _OO_WIDTHS:
             x = x0
             if width != 0.0:
-                x = minimize(partial(_oo_cost, t=t, width=width), x0, cfg, jac=True)[0]
-            x, f, _ = minimize(partial(_oo_cost, t=t), x, cfg, jac=True)
+                x = minimize(partial(_oo_cost, t=t, width=width), x0, TOL_GRAD, jac=True)[0]
+            x, f, _ = minimize(partial(_oo_cost, t=t), x, TOL_GRAD, jac=True)
             if f < best_f:
                 best_x, best_f = x, f
-    best_x, best_f, _ = minimize(partial(_oo_cost, t=t, grad=False), best_x, cfg)
+    best_x, best_f, _ = minimize(partial(_oo_cost, t=t, grad=False), best_x, TOL_GRAD)
     base = lambda_pauli_closed_form(t)
     if base <= best_f:
         return np.zeros(k), float(base)

@@ -46,9 +46,9 @@ from .fragments import (
     rotate_tensors,
 )
 from .grouping import sorted_insertion
-from .optimize import OptimizerConfig, oo_pauli
+from .optimize import MAX_ITERS, RESTARTS, TOL_GRAD, oo_pauli
 from .pauli import jordan_wigner, lambda_pauli_closed_form
-from .picture import PictureSplit, _split_optimizer, split_interaction
+from .picture import PictureSplit, split_interaction
 from .spectra import spectral_range
 from .symshift import optimize_shift
 from .tensors import (
@@ -88,17 +88,17 @@ DF_TOL = 1e-12
 COUNT_CUTOFF = 1e-6
 
 
-def _echo(optimizer):
+def _echo(seed):
     """The report's `config` block; its hash is part of every cache key, so two
     runs share cache entries exactly when they echo the same settings."""
     return {
-        "seed": optimizer.seed,
+        "seed": seed,
         "csa_tol": CSA_TOL,
         "df_tol": DF_TOL,
         "count_cutoff": COUNT_CUTOFF,
-        "tol_grad": optimizer.tol_grad,
-        "max_iters": optimizer.max_iters,
-        "restarts": optimizer.restarts,
+        "tol_grad": TOL_GRAD,
+        "max_iters": MAX_ITERS,
+        "restarts": RESTARTS,
     }
 
 
@@ -129,20 +129,20 @@ def _code_digest():
 
 
 class _Cache:
-    """Disk entries of one tensor set under one set of optimizer settings,
-    computed by this version of the package's code.
+    """Disk entries of one tensor set under one seed, computed by this
+    version of the package's code.
 
     The directory defaults to $LCUNORM_CACHE_DIR; with neither, every
     entry is computed and nothing is stored.
     """
 
-    def __init__(self, directory, t, optimizer):
+    def __init__(self, directory, t, seed):
         if directory is None:
             directory = os.environ.get("LCUNORM_CACHE_DIR")
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
-        digest = hashlib.sha256(json.dumps(_echo(optimizer), sort_keys=True).encode())
+        digest = hashlib.sha256(json.dumps(_echo(seed), sort_keys=True).encode())
         self.prefix = f"{_tensor_key(t)}-{digest.hexdigest()[:12]}-{_code_digest()}"
 
     def key(self, name):
@@ -175,8 +175,8 @@ class _MethodEngine:
 
     def __init__(self, prepared, cache_dir=None):
         self.t = prepared.tensors
-        self.optimizer = prepared.optimizer
-        self.cache = _Cache(cache_dir, self.t, self.optimizer)
+        self.seed = prepared.seed
+        self.cache = _Cache(cache_dir, self.t, self.seed)
         self._frames = {}
 
     def entry(self, method):
@@ -187,16 +187,15 @@ class _MethodEngine:
         """Orbital rotation angles that minimize the closed-form Pauli 1-norm."""
         doc = self.cache.fetch(
             "oo-theta",
-            lambda: {"theta": list(oo_pauli(self.t, self.optimizer)[0])},
+            lambda: {"theta": list(oo_pauli(self.t, self.seed)[0])},
         )
         return np.asarray(doc["theta"])
 
     @cached_property
     def gcsa_fragments(self):
-        seed = self.optimizer.seed
         doc = self.cache.fetch(
             "gcsa-frags",
-            lambda: {"frags": fragments_to_json(csa_greedy(self.t, stop_tol=CSA_TOL, seed=seed))},
+            lambda: {"frags": fragments_to_json(csa_greedy(self.t, CSA_TOL, self.seed))},
         )
         return fragments_from_json(doc["frags"])
 
@@ -273,11 +272,10 @@ def _resolve_source(source):
     raise FileNotFoundError(f"no such file or fixture: {name}")
 
 
-def _cached_split(t, optimizer, cache_dir):
+def _cached_split(t, seed, cache_dir):
     """Mean-field split of the tensors, disk-cached on the pre-split tensors."""
-
-    doc = _Cache(cache_dir, t, optimizer).fetch(
-        "split", lambda: {"h0": fragments_to_json([split_interaction(t, optimizer).h0])}
+    doc = _Cache(cache_dir, t, seed).fetch(
+        "split", lambda: {"h0": fragments_to_json([split_interaction(t, seed).h0])}
     )
     return PictureSplit.of(t, fragments_from_json(doc["h0"])[0])
 
@@ -286,7 +284,7 @@ def _cached_split(t, optimizer, cache_dir):
 class Prepared:
     """What a pipeline run decomposes: the tensors after the requested shift
     or mean-field split, the shift coefficients, the split itself (interaction
-    picture only) and the optimizer settings the methods run with."""
+    picture only) and the seed the methods' searches run with."""
 
     molecule: str
     picture: str
@@ -295,7 +293,7 @@ class Prepared:
     s1: float
     s2: float
     split: PictureSplit | None
-    optimizer: OptimizerConfig
+    seed: int
 
 
 def prepare(source, shift=False, picture="schrodinger", seed=0, cache_dir=None):
@@ -304,11 +302,6 @@ def prepare(source, shift=False, picture="schrodinger", seed=0, cache_dir=None):
         raise ValueError(f"unknown picture {picture!r}")
     if picture == "interaction" and shift:
         raise ValueError("the interaction picture does not take a symmetry shift")
-    # the split's longer iteration cap also drives oo_pauli on the residual
-    if picture == "interaction":
-        optimizer = _split_optimizer(seed)
-    else:
-        optimizer = OptimizerConfig(seed=seed)
     molecule, t = _resolve_source(source)
     s1 = s2 = 0.0
     split = None
@@ -316,9 +309,9 @@ def prepare(source, shift=False, picture="schrodinger", seed=0, cache_dir=None):
         shift_obj, t = optimize_shift(t)
         s1, s2 = shift_obj.s1, shift_obj.s2
     if picture == "interaction":
-        split = _cached_split(t, optimizer, cache_dir)
+        split = _cached_split(t, seed, cache_dir)
         t = split.residual
-    return Prepared(molecule, picture, shift, t, s1, s2, split, optimizer)
+    return Prepared(molecule, picture, shift, t, s1, s2, split, seed)
 
 
 def run_pipeline(
@@ -347,7 +340,7 @@ def run_pipeline(
                     f"spectral lower bound {floor + 1e-9:.12g}"
                 )
     return NormReport(
-        p.molecule, p.picture, p.shift, p.s1, p.s2, entries, __version__, _echo(p.optimizer)
+        p.molecule, p.picture, p.shift, p.s1, p.s2, entries, __version__, _echo(p.seed)
     )
 
 

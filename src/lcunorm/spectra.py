@@ -274,7 +274,7 @@ def spectral_range(t):
 
 
 class FockOperator:
-    """Hamiltonian action on the full 2^(2N) Fock space, interleaved ordering.
+    """Hamiltonian on the full 2^(2N) Fock space, interleaved ordering.
 
     Bit p of a basis index is the occupation of spin-orbital p = 2i + sigma.
     Internally blocked by particle sectors; the reordering between the
@@ -310,14 +310,6 @@ class FockOperator:
     @property
     def dim(self):
         return 1 << self.n_spin_orb
-
-    def apply(self, vec):
-        vec = np.asarray(vec)
-        out = np.zeros(self.dim, dtype=vec.dtype)
-        for sec, idx, sgn in self._sectors:
-            block_in = sgn * vec[idx]
-            out[idx] = sgn * sec.matvec(block_in)
-        return out
 
     def dense(self):
         if self.n_spin_orb > 10:

@@ -73,9 +73,8 @@ def apply_shift(t, shift):
     n = t.n_orb
     obt = t.obt - shift.s1 * np.eye(n)
     tbt = t.tbt.copy()
-    for i in range(n):
-        for j in range(n):
-            tbt[i, i, j, j] -= shift.s2
+    d = np.arange(n)
+    tbt[d[:, None], d[:, None], d, d] -= shift.s2
     return t.replace(obt=obt, tbt=tbt)
 
 

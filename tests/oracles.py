@@ -9,8 +9,9 @@ words with their products and matrices, the Jordan-Wigner mapping as a
 word-by-word dict loop, the Majorana-operator route to Pauli words, the
 pairwise check and the dense reflection of an anticommuting group, the
 spectrum at a fixed electron number, the symmetry-shift problem as a
-linear program, and the theta gradient of a rotation through scipy's
-Frechet derivative of the matrix exponential.
+linear program, the theta gradient of a rotation through scipy's
+Frechet derivative of the matrix exponential, and the count of
+reflection-pair products as a loop over the entries.
 """
 
 from dataclasses import dataclass
@@ -718,3 +719,20 @@ def expm_frechet_theta_grad(a, gu):
     z = scipy.linalg.expm_frechet(a.T, gu, compute_expm=False)
     rows, cols = _tril(a.shape[0], -1)
     return z[rows, cols] - z[cols, rows]
+
+
+# ---- reflection-pair products -------------------------------------------
+
+
+def reflection_term_count_loop(lam, cutoff):
+    """Distinct reflection-pair products with |coefficient| > cutoff, entry by
+    entry: the diagonal once, each pair below it four times, at |lam_ij| / 2."""
+    n = lam.shape[0]
+    count = 0
+    for i in range(n):
+        if abs(lam[i, i] / 2.0) > cutoff:
+            count += 1
+        for j in range(i):
+            if abs(lam[i, j] / 2.0) > cutoff:
+                count += 4
+    return count

@@ -554,13 +554,10 @@ def test_c8_bfgs_solves_quadratic():
 
 
 def test_c8_bfgs_solves_rosenbrock():
-    from lcunorm.optimize import OptimizerConfig
-
     def rosen(v):
         return float(100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2)
 
-    cfg = OptimizerConfig(tol_grad=1e-10, max_iters=2000)
-    x, f, _ = minimize(rosen, np.array([-1.2, 1.0]), cfg)
+    x, f, _ = minimize(rosen, np.array([-1.2, 1.0]), 1e-10)
     assert np.max(np.abs(x - 1.0)) < 1e-6
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import dense_hamiltonian, random_spatial
+from oracles import dense_hamiltonian, random_spatial, reflection_term_count_loop
 from scipy.optimize import linear_sum_assignment
 
 from lcunorm.errors import NumericalError
@@ -24,6 +24,7 @@ from lcunorm.fragments import (
     lambda_fermionic,
     lambda_sqrt_fragment,
     make_rotation,
+    reflection_term_count,
     rotate_tensors,
     theta_dim,
 )
@@ -244,6 +245,24 @@ def test_lambda_fermionic_trivial():
     l1, l2 = lambda_fermionic(np.array([-1.0, 2.0]), [_diag_fragment(np.array([[1.0]]), 1)])
     assert l1 == 3.0
     assert l2 == 0.5
+
+
+def test_reflection_term_count_matches_loop():
+    # |lam_ij| / 2 is compared exactly, so an entry of 2 * cutoff sits on the
+    # cutoff and is not counted, and the next float above it is
+    cutoff = 1e-6
+    edge, above = 2.0 * cutoff, np.nextafter(2.0 * cutoff, 1.0)
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 8):
+        for _ in range(4):
+            lam = rng.standard_normal((n, n)) * 3e-6
+            lam[rng.random((n, n)) < 0.3] = edge
+            lam[rng.random((n, n)) < 0.2] = -edge
+            lam[rng.random((n, n)) < 0.1] = above
+            lam = np.tril(lam) + np.tril(lam, -1).T
+            assert reflection_term_count(lam, cutoff) == reflection_term_count_loop(lam, cutoff)
+        assert reflection_term_count(np.full((n, n), -edge), cutoff) == 0
+        assert reflection_term_count(np.full((n, n), above), cutoff) == n + 2 * n * (n - 1)
 
 
 def test_lambda_sqrt_single_term():

@@ -5,7 +5,7 @@ import pytest
 from oracles import random_spatial
 
 from lcunorm.errors import NumericalError
-from lcunorm.optimize import OptimizerConfig, minimize, oo_pauli
+from lcunorm.optimize import minimize, oo_pauli
 from lcunorm.pauli import lambda_pauli_closed_form
 from lcunorm.tensors import load_fixture, to_chemist
 
@@ -20,7 +20,7 @@ def test_rosenbrock():
     def f(x):
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
-    x, fval, _ = minimize(f, np.array([-1.2, 1.0]), OptimizerConfig(max_iters=2000))
+    x, fval, _ = minimize(f, np.array([-1.2, 1.0]))
     assert np.abs(x - 1.0).max() < 1e-6
 
 
@@ -34,7 +34,7 @@ def test_random_convex_quadratic():
     def fg(x):
         return float(0.5 * x @ a @ x - b @ x), a @ x - b
 
-    x, _, _ = minimize(fg, np.zeros(10), OptimizerConfig(tol_grad=1e-10), jac=True)
+    x, _, _ = minimize(fg, np.zeros(10), 1e-10, jac=True)
     assert np.abs(x - sol).max() < 1e-8
 
 
@@ -67,27 +67,19 @@ def test_deterministic():
     assert np.array_equal(r1[0], r2[0]) and r1[1] == r2[1]
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol_grad=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iters=0)
-
-
 def test_oo_pauli_never_worsens():
     rng = np.random.default_rng(15)
-    cfg = OptimizerConfig(max_iters=200, restarts=1)
     for _ in range(3):
         t = random_spatial(3, rng)
         base = lambda_pauli_closed_form(t)
-        _, lam = oo_pauli(t, cfg)
+        _, lam = oo_pauli(t)
         assert lam <= base + 1e-12
 
 
 def test_oo_pauli_h2():
     # the optimum is the |theta| = pi/4 frame, below the 1.575 at theta = 0
     t = to_chemist(load_fixture("h2"))
-    _, lam = oo_pauli(t, OptimizerConfig(max_iters=300))
+    _, lam = oo_pauli(t)
     assert abs(lam - np.sqrt(2.0)) < 1e-3
 
 

@@ -8,7 +8,6 @@ from lcunorm.fragments import (
     make_rotation,
     theta_dim,
 )
-from lcunorm.optimize import OptimizerConfig
 from lcunorm.picture import split_interaction
 from lcunorm.pipeline import run_pipeline
 from lcunorm.tensors import SpatialTensors, load_fixture, to_chemist
@@ -65,8 +64,7 @@ def test_h2_residual_norms():
 
 def test_split_is_deterministic():
     t = chemist("h2")
-    cfg = OptimizerConfig(tol_grad=1e-8, max_iters=2000, seed=0)
-    a = split_interaction(t, cfg)
-    b = split_interaction(t, cfg)
+    a = split_interaction(t, seed=0)
+    b = split_interaction(t, seed=0)
     assert a.fit_residual_norm == b.fit_residual_norm
     assert np.array_equal(a.residual.tbt, b.residual.tbt)

@@ -84,9 +84,10 @@ def test_json_reports_are_byte_identical(runner, tmp_path, molecule, variant, me
     assert {f: stored.get(f) for f in written} == written
 
 
-@pytest.mark.parametrize("picture, max_iters", [("schrodinger", 500), ("interaction", 2000)])
+@pytest.mark.parametrize("picture, max_iters", [("schrodinger", 2000), ("interaction", 2000)])
 def test_config_block_is_pinned(picture, max_iters):
-    # the block is hashed into every cache key: a change to it moves every key
+    # the block is hashed into every cache key: a change to it moves every
+    # key; both pictures run their searches with the one iteration cap
     report = run_pipeline("h2", methods=["pauli"], picture=picture)
     config = json.loads(emit_table([report], fmt="json"))["reports"][0]["config"]
     assert config == {
@@ -98,6 +99,26 @@ def test_config_block_is_pinned(picture, max_iters):
         "max_iters": max_iters,
         "restarts": 2,
     }
+
+
+def test_searches_pass_their_tolerance_positionally(runner, tmp_path, monkeypatch):
+    # perfbench's tracer wraps lcunorm.optimize.minimize as (f, x0, cfg=None,
+    # jac=False) and forwards its third argument positionally: a tolerance
+    # passed by keyword fails there, and one left out reaches minimize as None
+    import lcunorm.optimize as opt
+
+    inner, seen = opt.minimize, []
+
+    def forwarder(f, x0, cfg=None, jac=False):
+        seen.append(cfg)
+        return inner(f, x0, cfg, jac)
+
+    monkeypatch.setattr(opt, "minimize", forwarder)
+    wrapped = run_pipeline("h2", picture="interaction", cache_dir=str(tmp_path))
+    # the split, the orbital search and greedy CSA all went through it
+    assert None not in seen and {1e-8, 1e-9} <= set(seen)
+    plain = runner.report("h2", "residual")
+    assert emit_table([wrapped], fmt="json") == emit_table([plain], fmt="json")
 
 
 def test_every_entry_meets_spectral_floor():

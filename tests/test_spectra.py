@@ -40,16 +40,6 @@ def test_sector_operator_is_exact_for_any_two_body_tensor():
     assert np.max(np.abs(FockOperator(t).dense() - dense_hamiltonian(t))) < 1e-10
 
 
-def test_fock_apply_matches_dense():
-    rng = np.random.default_rng(1)
-    t = random_spatial(2, rng)
-    op = FockOperator(t)
-    h = op.dense()
-    for _ in range(5):
-        v = rng.normal(size=16)
-        assert np.allclose(op.apply(v), h @ v, atol=1e-10)
-
-
 def test_spectral_range_matches_dense_oracle():
     rng = np.random.default_rng(2)
     for _ in range(10):
