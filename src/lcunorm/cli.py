@@ -55,17 +55,17 @@ def main(argv=None):
             for source in args.input
         ]
         doc = emit_table(reports, fmt=args.format)
-    except (ValueError, KeyError, FileNotFoundError, ParseError) as exc:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(doc)
+        else:
+            sys.stdout.write(doc)
+    except (ValueError, KeyError, OSError, ParseError) as exc:
         print(f"lcunorm: error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"lcunorm: numerical failure: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
     return 0
 
 

@@ -14,10 +14,9 @@ diagonalizes only the sectors with nb <= na.  Inside a sector the
 Hamiltonian is a same-spin operator for each spin plus one cross-spin sum
 sum_y D_y (x) At_y, beta excitations D_y = E_pq against alpha partners At_y
 weighted by g + g.T.  A sector keeps only those two stacks, so the Lanczos
-matvec runs as two GEMMs and the dense assembly as one batched GEMM.  That
-data grows as n^2 d^2, so `spectral_range` estimates the peak bytes of its
-largest sector first and raises NumericalError above `_SECTOR_BYTES_LIMIT`
-(1 GiB) instead of allocating it.
+matvec runs as two GEMMs.  That data grows as n^2 d^2, so `spectral_range`
+estimates the peak bytes of its largest sector first and raises
+NumericalError above `_SECTOR_BYTES_LIMIT` (1 GiB) instead of allocating it.
 """
 
 import mmap
@@ -36,8 +35,6 @@ __all__ = [
     "minimal_lcu",
 ]
 
-_DENSE_LIMIT_QUBITS = 14  # full-Fock size threshold for the all-dense path
-_DENSE_BLOCK_DIM = 400  # iterative path still diagonalizes small blocks densely
 _LANCZOS_CAP = 300
 _LANCZOS_TOL = 1e-7
 _SECTOR_BYTES_LIMIT = 1 << 30  # memory one sector may take
@@ -121,19 +118,6 @@ class _Sector:
         g_sym = (g + g.T).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
         self.at_cols = np.matmul(g_sym, d.transpose(1, 0, 2)).reshape(self.da, -1)
 
-    def dense(self):
-        da, db = self.da, self.db
-        # h[(B, a), (B', a')] = sum_k left_k[B, B'] right_k[a, a'] over the
-        # cross terms D_y (x) At_y, then 1 (x) ha and hb (x) 1: one batched
-        # GEMM, a (db x k) @ (k x da) product per (B, a), that writes h in
-        # its final layout with no transposed copy
-        d_b = self.d_rows.reshape(db, db, -1).transpose(2, 0, 1)
-        at_a = self.at_cols.reshape(da, -1, da).transpose(1, 2, 0)
-        left = np.concatenate([d_b, np.eye(db)[None], self.hb[None]])
-        right = np.concatenate([at_a, self.ha[None], np.eye(da)[None]])
-        h = np.matmul(left.transpose(1, 2, 0)[:, None], right.transpose(1, 0, 2)[None])
-        return h.reshape(self.dim, self.dim)
-
     def matvec(self, vec):
         v = vec.reshape(self.db, self.da)
         w = self.hb @ v + v @ self.ha.T
@@ -144,13 +128,15 @@ class _Sector:
         return w.ravel()
 
 
-def _lanczos_extremes(matvec, dim, tol=_LANCZOS_TOL, cap=_LANCZOS_CAP):
+def _lanczos_extremes(matvec, dim):
     """Both extremal eigenvalues from one Krylov run, full reorthogonalization.
 
-    Returns (e_min, e_max, residual bound).  Deterministic start vector.
+    Returns (e_min, e_max, residual bound) once the bound is below
+    `_LANCZOS_TOL`, and raises NumericalError after `_LANCZOS_CAP` steps.
+    Deterministic start vector.
     """
     rng = np.random.default_rng(1905)
-    steps = min(dim, cap)
+    steps = min(dim, _LANCZOS_CAP)
     # Row j holds the j-th Krylov vector.  The rows live in an anonymous
     # mapping, not a malloc'd array: freeing a large malloc'd block raises
     # glibc's mmap threshold to its size, and later mid-sized allocations
@@ -174,13 +160,13 @@ def _lanczos_extremes(matvec, dim, tol=_LANCZOS_TOL, cap=_LANCZOS_CAP):
         b = float(np.linalg.norm(w))
         tmat_vals, tmat_vecs = _tridiag_eig(alphas, betas)
         res = b * max(abs(tmat_vecs[-1, 0]), abs(tmat_vecs[-1, -1]))
-        if res <= tol or b < 1e-13 or j == dim - 1:
+        if res <= _LANCZOS_TOL or b < 1e-13 or j == dim - 1:
             return float(tmat_vals[0]), float(tmat_vals[-1]), res
         betas.append(b)
         if j + 1 < steps:
             basis[j + 1] = w / b
     raise NumericalError(
-        f"Lanczos failed to converge in {steps} steps (residual {res:.3e})",
+        f"Lanczos reached its {_LANCZOS_CAP}-step cap (residual {res:.3e})",
         payload={"residual": res},
     )
 
@@ -208,24 +194,15 @@ class SpectralRange:
         return 0.5 * (self.e_max - self.e_min)
 
 
-def _dense_sector(n, na, nb):
-    return 2 * n <= _DENSE_LIMIT_QUBITS or comb(n, na) * comb(n, nb) <= _DENSE_BLOCK_DIM
-
-
 def _sector_bytes(n, na, nb):
     """Estimated peak bytes of one sector: its operator data (the d_rows and
     at_cols stacks) plus the larger of the stack held only while they are
-    built and the work arrays of the path that diagonalizes it (the GEMM
-    operands of dense(), its dim x dim result and the copy eigvalsh makes,
-    or a matvec's intermediate and the Lanczos basis)."""
+    built and the Lanczos work (a matvec's intermediate and the basis)."""
     da, db = comb(n, na), comb(n, nb)
     dim = da * db
     stacks = n * n * (da * da + db * db)
     build = n * n * max(da * da, db * db)
-    if _dense_sector(n, na, nb):
-        work = (n * n + 2) * (da * da + db * db) + 2 * dim * dim
-    else:
-        work = n * n * dim + min(dim, _LANCZOS_CAP) * dim
+    work = n * n * dim + min(dim, _LANCZOS_CAP) * dim
     return 8 * (stacks + max(build, work))
 
 
@@ -247,13 +224,12 @@ def _check_size(n):
 def spectral_range(t):
     """Extremes of the Hamiltonian over the whole Fock space.
 
-    Dense per-sector diagonalization up to 14 spin-orbitals; above that,
-    Lanczos on the sectors of more than 400 states (smaller ones stay
-    dense).  Only sectors with n_beta <= n_alpha are diagonalized:
-    swapping the spins of the spin-free tensors maps sector (na, nb) onto
-    (nb, na), so both have one spectrum.  Raises NumericalError, before
-    building any sector, when the largest sector would exceed
-    `_SECTOR_BYTES_LIMIT`.
+    Lanczos on each sector with n_beta <= n_alpha; the residual is the
+    worst bound over those sectors.  Swapping the spins of the spin-free
+    tensors maps sector (na, nb) onto (nb, na), so both have one
+    spectrum.  Raises NumericalError, before building any sector, when
+    the largest sector would exceed `_SECTOR_BYTES_LIMIT`, and when a
+    sector's Lanczos run reaches `_LANCZOS_CAP` steps.
     """
     n = t.n_orb
     _check_size(n)
@@ -262,12 +238,8 @@ def spectral_range(t):
     for na in range(n + 1):
         for nb in range(na + 1):
             sec = _Sector(t, na, nb)
-            if _dense_sector(n, na, nb):
-                vals = np.linalg.eigvalsh(sec.dense())
-                lo, hi = float(vals[0]), float(vals[-1])
-            else:
-                lo, hi, res = _lanczos_extremes(sec.matvec, sec.dim)
-                worst = max(worst, res)
+            lo, hi, res = _lanczos_extremes(sec.matvec, sec.dim)
+            worst = max(worst, res)
             e_min = min(e_min, lo)
             e_max = max(e_max, hi)
     return SpectralRange(e_min, e_max, worst)
@@ -316,7 +288,8 @@ class FockOperator:
             raise NumericalError("dense Fock assembly limited to 10 spin-orbitals")
         h = np.zeros((self.dim, self.dim))
         for sec, idx, sgn in self._sectors:
-            h[np.ix_(idx, idx)] = np.outer(sgn, sgn) * sec.dense()
+            block = np.column_stack([sec.matvec(e) for e in np.eye(sec.dim)])
+            h[np.ix_(idx, idx)] = np.outer(sgn, sgn) * block
         return h
 
 

@@ -23,7 +23,6 @@ from lcunorm.errors import NumericalError
 from lcunorm.fragments import _tril
 from lcunorm.grouping import sorted_insertion
 from lcunorm.pauli import PRUNE_TOL, PauliPolynomial
-from lcunorm.spectra import _Sector
 from lcunorm.symshift import weighted_median
 from lcunorm.tensors import SpatialTensors
 
@@ -637,17 +636,13 @@ def group_unitary(group):
 
 
 def sector_spectrum(t, n_elec):
-    """Eigenvalues on the fixed total-electron-number subspace, ascending."""
+    """Eigenvalues on the fixed total-electron-number subspace, ascending:
+    `dense_hamiltonian` restricted to the basis states with n_elec set bits."""
     n = t.n_orb
     if not 0 <= n_elec <= 2 * n:
         raise ValueError(f"electron count {n_elec} outside [0, {2 * n}]")
-    out = []
-    for na in range(n + 1):
-        nb = n_elec - na
-        if 0 <= nb <= n:
-            sec = _Sector(t, na, nb)
-            out.append(np.linalg.eigvalsh(sec.dense()))
-    return np.sort(np.concatenate(out))
+    idx = [b for b in range(1 << (2 * n)) if b.bit_count() == n_elec]
+    return np.linalg.eigvalsh(dense_hamiltonian(t)[np.ix_(idx, idx)])
 
 
 # ---- the symmetry-shift problem as a linear program ------------------------

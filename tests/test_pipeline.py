@@ -198,12 +198,14 @@ def test_cli_writes_json_file(tmp_path):
     assert "pauli" in doc["reports"][0]["methods"]
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(capsys, tmp_path):
     assert main(["h2", "--methods", "bogus"]) == 2
     assert main(["/nowhere/x.fcidump"]) == 2
     assert main(["h2", "--shift", "--picture", "interaction"]) == 2
+    assert main([str(tmp_path)]) == 2
+    assert main(["h2", "--methods", "pauli", "--out", str(tmp_path / "missing" / "r.txt")]) == 2
     err = capsys.readouterr().err
-    assert "error" in err
+    assert err.count("lcunorm: error:") == 5
 
 
 def test_cli_numerical_failure_exit(tmp_path, monkeypatch):
@@ -291,3 +293,26 @@ def test_benchmark_tracer_records_every_layer(tmp_path, monkeypatch):
     cold = {tracer.spans[i]["name"] for i in below[roots[0]]}
     assert set(spans.LAYERS) - cold == set()
     assert spans.compute_calls(tracer.spans, below[roots[1]]) == 0
+
+
+def test_benchmark_checker_reads_the_session_reports(runner, monkeypatch):
+    # perfbench/checks.py reads the acceptance table through test_acceptance
+    # and the reports through emit_table and prepare; a renamed name or a
+    # changed output would break the benchmark's correctness check
+    here = os.path.dirname(os.path.abspath(__file__))
+    monkeypatch.syspath_prepend(os.path.join(here, os.pardir, "perfbench"))
+    import checks
+
+    reference = checks.Reference(os.path.join(here, os.pardir))
+    keys = [("h2", variant) for variant in ("raw", "shifted", "residual")]
+    reports = {key: runner.report(*key) for key in keys}
+    methods = {key: list(r.methods) for key, r in reports.items()}
+    cold = {key: emit_table([r], fmt="json") for key, r in reports.items()}
+    tensors = {key: runner.prepared(*key).tensors for key in keys}
+    assert checks.check_round(reference, methods, cold, cold, tensors) == {}
+
+    doc = json.loads(cold[("h2", "raw")])
+    doc["reports"][0]["methods"]["pauli"]["lambda"] *= 0.9
+    lowered = {**cold, ("h2", "raw"): json.dumps(doc)}
+    failed = checks.check_round(reference, methods, lowered, lowered, tensors)
+    assert ("h2", "raw", "pauli") in failed

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lcunorm import spectra
 from lcunorm.errors import NumericalError
 from lcunorm.spectra import (
     FockOperator,
@@ -24,9 +25,15 @@ def chemist(name):
     return to_chemist(load_fixture(name))
 
 
+def sector_matrix(sec):
+    """A sector's Hamiltonian block, one matvec per identity column."""
+    return np.column_stack([sec.matvec(e) for e in np.eye(sec.dim)])
+
+
 def test_fock_operator_matches_oracle():
+    # every (na, nb) block's matvec against the oracle, na < nb included
     rng = np.random.default_rng(0)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         t = random_spatial(n, rng)
         assert np.max(np.abs(FockOperator(t).dense() - dense_hamiltonian(t))) < 1e-10
 
@@ -78,8 +85,7 @@ def test_spectral_range_validates():
 
 
 def _lih_lanczos_sectors():
-    # every LiH sector is below the dense-path size, so spectral_range never
-    # runs Lanczos on LiH; these sectors are large enough to need many steps
+    # sectors large enough to need many Lanczos steps
     t = chemist("lih")
     n = t.n_orb
     for na in range(n + 1):
@@ -91,7 +97,7 @@ def _lih_lanczos_sectors():
 
 def test_iterative_agrees_with_dense():
     for key, sec in _lih_lanczos_sectors():
-        vals = np.linalg.eigvalsh(sec.dense())
+        vals = np.linalg.eigvalsh(sector_matrix(sec))
         lo, hi, res = _lanczos_extremes(sec.matvec, sec.dim)
         assert res < 1e-7, key
         assert abs(lo - vals[0]) < 1e-7, key
@@ -103,6 +109,13 @@ def test_iterative_is_deterministic():
         assert _lanczos_extremes(sec.matvec, sec.dim) == _lanczos_extremes(
             sec.matvec, sec.dim
         ), key
+
+
+def test_lanczos_cap_fails_fast(monkeypatch):
+    monkeypatch.setattr(spectra, "_LANCZOS_CAP", 5)
+    with pytest.raises(NumericalError, match=r"Lanczos.*5-step cap") as info:
+        spectral_range(chemist("lih"))
+    assert info.value.payload["residual"] > spectra._LANCZOS_TOL
 
 
 def test_minimal_lcu_reassembles_and_meets_bound():
@@ -148,21 +161,9 @@ def test_spin_flipped_sectors_share_a_spectrum():
     t = random_spatial(3, np.random.default_rng(6))
     for na in range(4):
         for nb in range(na):
-            ab = np.linalg.eigvalsh(_Sector(t, na, nb).dense())
-            ba = np.linalg.eigvalsh(_Sector(t, nb, na).dense())
+            ab = np.linalg.eigvalsh(sector_matrix(_Sector(t, na, nb)))
+            ba = np.linalg.eigvalsh(sector_matrix(_Sector(t, nb, na)))
             assert np.max(np.abs(ab - ba)) < 1e-10
-
-
-def test_sector_matvec_matches_dense():
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        t = random_spatial(3, rng)
-        for na, nb in ((1, 0), (2, 1), (1, 3), (0, 2), (3, 2)):
-            sec = _Sector(t, na, nb)
-            h = sec.dense()
-            for _ in range(2):
-                v = rng.normal(size=sec.dim)
-                assert np.max(np.abs(sec.matvec(v) - h @ v)) < 1e-10
 
 
 def test_oversized_sectors_fail_before_allocating():
