@@ -20,11 +20,14 @@ RESTARTS = 2
 # Pseudo-Huber widths that oo_pauli searches from every start: the plain
 # exact search, and a smoothed one (see oo_pauli).
 _OO_WIDTHS = (0.0, 1e-2)
+# Width of oo_pauli's last search, from the best exact optimum: smooth enough
+# to step across the kinks where the exact subgradient search stalls (the job
+# a finite-difference search would do), narrow enough to track the exact cost.
+_OO_POLISH_WIDTH = 1e-6
 
 
 class _NonFinite(Exception):
-    def __init__(self, x):
-        self.x = x
+    """Raised with the iterate at which the cost or gradient is not finite."""
 
 
 def _starts(x_base, seed):
@@ -33,50 +36,43 @@ def _starts(x_base, seed):
     return [x_base] + [x_base + rng.uniform(-0.05, 0.05, x_base.size) for _ in range(RESTARTS)]
 
 
-def minimize(f, x0, tol_grad=TOL_GRAD, jac=False):
+def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
     """Quasi-Newton descent; stops at ||grad||_inf <= tol_grad or MAX_ITERS.
 
-    `f` returns the cost, or (cost, gradient) when jac=True.  Guarantees
-    f(x*) <= f(x0).  A non-finite cost or gradient during the search raises
+    `f` returns (cost, gradient).  `jac` must be true (false raises
+    ValueError); it stays so that wrappers which forward the call shape
+    (f, x0, tol_grad, jac) keep working.  Guarantees f(x*) <= f(x0).
+    A non-finite cost or gradient, at x0 or during the search, raises
     NumericalError carrying the offending iterate.
     """
+    if not jac:
+        raise ValueError("minimize needs f to return (cost, gradient): jac must be true")
     x0 = np.asarray(x0, dtype=float)
 
     def checked(x):
-        out = f(x)
-        if jac:
-            c, g = out
-            if not np.isfinite(c) or not np.all(np.isfinite(g)):
-                raise _NonFinite(np.array(x))
-            return c, np.asarray(g, dtype=float)
-        if not np.isfinite(out):
+        c, g = f(x)
+        if not np.isfinite(c) or not np.all(np.isfinite(g)):
             raise _NonFinite(np.array(x))
-        return out
+        return c, np.asarray(g, dtype=float)
 
-    f0 = checked(x0)[0] if jac else checked(x0)
-    if x0.size == 0:  # nothing to search, e.g. the rotation of one orbital
-        return x0, float(f0), 0
     try:
-        res = scipy.optimize.minimize(
-            checked,
-            x0,
-            jac=True if jac else "3-point",
-            method="BFGS",
-            options={"gtol": tol_grad, "maxiter": MAX_ITERS},
-        )
+        f0 = checked(x0)[0]
+        if x0.size == 0:  # nothing to search, e.g. the rotation of one orbital
+            return x0, float(f0), 0
+        opts = {"gtol": tol_grad, "maxiter": MAX_ITERS}
+        res = scipy.optimize.minimize(checked, x0, jac=True, method="BFGS", options=opts)
     except _NonFinite as bad:
         raise NumericalError(
             "non-finite cost encountered during minimization",
-            payload={"last_x": bad.x},
+            payload={"last_x": bad.args[0]},
         ) from None
     if res.fun > f0:
         return x0, float(f0), int(res.nit)
     return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit)
 
 
-def _oo_cost(theta, t, width=0.0, grad=True):
-    """Closed form of t in the orbitals rotated by theta, and its gradient
-    (the cost alone with grad=False).
+def _oo_cost(theta, t, width=0.0):
+    """Closed form of t in the orbitals rotated by theta, and its gradient.
 
     The forward pass rotates as rotate_tensors does and keeps the
     three-index-rotated tensor, so at width 0 the cost is the closed form of
@@ -88,10 +84,7 @@ def _oo_cost(theta, t, width=0.0, grad=True):
     n = t.n_orb
     u, eig = _expm_antisym(_antisymmetric(theta, n))
     obt, g, part = _rotate(u, t.obt, t.tbt)
-    out = _closed_form(obt, g, width, grad)
-    if not grad:
-        return out
-    cost, s1, dg = out
+    cost, s1, dg = _closed_form(obt, g, width, grad=True)
     dg = dg + dg.transpose(1, 0, 2, 3)
     dg = dg + dg.transpose(0, 1, 3, 2)
     dg = dg + dg.transpose(2, 3, 0, 1)
@@ -108,8 +101,9 @@ def oo_pauli(t, seed=0):
     the exact closed form, and the pseudo-Huber surrogate
     |x| -> sqrt(x^2 + w^2) - w (w = 1e-2), which has no kinks, followed by
     the exact search from that optimum.  The best exact optimum is then
-    polished by one search on finite differences of the exact cost, which
-    can still step where the subgradient stalls on a kink.  The reported
+    polished by one search of the surrogate at w = _OO_POLISH_WIDTH, which
+    steps across the kinks where the exact subgradient stalls; its end point
+    is kept only if the exact closed form there is lower.  The reported
     lambda is always the exact one, the lowest over all searches and never
     above the value at theta = 0.  Returns (theta*, lambda at theta*).
     """
@@ -123,7 +117,10 @@ def oo_pauli(t, seed=0):
             x, f, _ = minimize(partial(_oo_cost, t=t), x, TOL_GRAD, jac=True)
             if f < best_f:
                 best_x, best_f = x, f
-    best_x, best_f, _ = minimize(partial(_oo_cost, t=t, grad=False), best_x, TOL_GRAD)
+    x = minimize(partial(_oo_cost, t=t, width=_OO_POLISH_WIDTH), best_x, TOL_GRAD, jac=True)[0]
+    f = _oo_cost(x, t)[0]
+    if f < best_f:
+        best_x, best_f = x, f
     base = lambda_pauli_closed_form(t)
     if base <= best_f:
         return np.zeros(k), float(base)

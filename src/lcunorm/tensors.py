@@ -158,8 +158,8 @@ _DATA_ROW = np.dtype([("v", "f8"), ("i", "i8", (4,))])
 def _read_data(body, first_line, n):
     """(values, m x 4 indices) of the data lines after a leading core energy
     of 0 (the value when none is given).  They are read in one numpy pass;
-    if that fails or finds an invalid index, they are read line by line, and
-    the first bad line raises ParseError."""
+    if that fails or finds a non-finite value or an invalid index, they are
+    read line by line, and the first bad line raises ParseError."""
     try:
         with warnings.catch_warnings():
             # older numpy reads an index "1.5" as 1 and only warns
@@ -168,7 +168,8 @@ def _read_data(body, first_line, n):
         idx, nz = rows["i"], rows["i"] != 0
         # the line-by-line checks below: no zero index, or k = l = 0 and i, j both zero or not
         pair = ~nz[:, 2:].any(1) & (nz[:, 0] == nz[:, 1])
-        if ((idx >= 0) & (idx <= n)).all() and (nz.all(1) | pair).all():
+        ok = np.isfinite(rows["v"]).all() and ((idx >= 0) & (idx <= n)).all()
+        if ok and (nz.all(1) | pair).all():
             return rows["v"], idx
     except (ValueError, DeprecationWarning):
         pass
@@ -184,6 +185,8 @@ def _read_data(body, first_line, n):
             i, j, k, l = row = [int(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(str(exc), line=ln) from None
+        if not np.isfinite(vals[-1]):
+            raise ParseError(f"non-finite value {parts[0]!r}", line=ln)
         for p in row:
             if p < 0 or p > n:
                 raise ParseError(f"orbital index {p} outside [0, {n}]", line=ln)

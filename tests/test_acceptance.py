@@ -45,7 +45,7 @@ from lcunorm.fragments import (
     theta_dim,
 )
 from lcunorm.grouping import sorted_insertion
-from lcunorm.optimize import _oo_cost, minimize
+from lcunorm.optimize import _oo_cost, minimize, oo_pauli
 from lcunorm.pauli import PauliPolynomial, jordan_wigner, lambda_pauli_closed_form
 from lcunorm.pipeline import _METHODS, _MethodEngine, prepare, run_pipeline
 from lcunorm.spectra import minimal_lcu, spectral_range
@@ -365,6 +365,50 @@ def test_ac_stable_under_last_bit_noise(runner, molecule, variant):
         assert abs(lam - base) <= 1e-9 * base, f"AC {base!r} -> {lam!r}"
 
 
+_REF_TABLES = {"raw": REF_RAW, "shifted": REF_SHIFTED, "residual": REF_RESIDUAL}
+
+
+@pytest.mark.parametrize(
+    ("molecule", "variant"),
+    [
+        ("lih", "raw"),
+        ("lih", "shifted"),
+        ("lih", "residual"),
+        pytest.param(
+            "beh2",
+            "raw",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="BeH2 raw OO-Pauli falls by 1.4% (22.197 -> 21.886) on the first "
+                "draw: the searches from the unperturbed tensor miss that lower optimum",
+            ),
+        ),
+        pytest.param(
+            "beh2",
+            "shifted",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="BeH2 shifted OO-Pauli rises by 4.5% (13.04 -> 13.63) on every "
+                "draw: its unperturbed optimum is a last-bit accident of the searches",
+            ),
+        ),
+        ("beh2", "residual"),
+    ],
+)
+def test_oo_stable_under_last_bit_noise(runner, molecule, variant):
+    # the noise of the AC test above; the orbital search must land on the
+    # same optimum, up to what the kinks of the exact cost let it resolve
+    t = runner.prepared(molecule, variant).tensors
+    base = runner.entry(molecule, variant, "oo-pauli")["lambda"]
+    ref = _ref(_REF_TABLES[variant], molecule, "oo-pauli")
+    rng = np.random.default_rng(73)
+    for _ in range(3):
+        r = sum(rng.normal(size=t.tbt.shape).transpose(p) for p in _EIGHTFOLD) / 8.0
+        lam = oo_pauli(t.replace(tbt=t.tbt * (1.0 + 1e-15 * r)))[1]
+        assert abs(lam - base) <= 1e-5 * base, f"OO-Pauli {base!r} -> {lam!r}"
+        _check_cell(lam, ref, "oo-pauli", upper_only=True)
+
+
 # ---- criterion 6: inequalities and identities -----------------------------
 
 
@@ -537,25 +581,26 @@ def test_c8_oo_gradient_matches_finite_differences():
         for _ in range(3):
             x = rng.uniform(-0.3, 0.3, size=theta_dim(n))
             _, grad = _oo_cost(x, t, width=1e-2)
-            fun = lambda y: _oo_cost(y, t, width=1e-2, grad=False)
+            fun = lambda y: _oo_cost(y, t, width=1e-2)[0]
             assert _fd_check(fun, x, grad) < 1e-4
             # the exact search reports the closed form of the rotated tensors
             exact = lambda_pauli_closed_form(rotate_tensors(make_rotation(x), t))
             assert _oo_cost(x, t)[0] == exact
-            assert _oo_cost(x, t, grad=False) == exact
     rows, _ = _tril(4, -1)
     with pytest.raises(ValueError):
         rows[0] = 1
 
 
 def test_c8_bfgs_solves_quadratic():
-    x, f, _ = minimize(lambda v: float((v[0] - 3.0) ** 2), np.array([10.0]))
+    x, f, _ = minimize(lambda v: (float((v[0] - 3.0) ** 2), 2.0 * (v - 3.0)), np.array([10.0]))
     assert abs(x[0] - 3.0) < 1e-6 and f < 1e-10
 
 
 def test_c8_bfgs_solves_rosenbrock():
     def rosen(v):
-        return float(100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2)
+        cost = float(100.0 * (v[1] - v[0] ** 2) ** 2 + (1.0 - v[0]) ** 2)
+        dv1 = 200.0 * (v[1] - v[0] ** 2)
+        return cost, np.array([-2.0 * v[0] * dv1 - 2.0 * (1.0 - v[0]), dv1])
 
     x, f, _ = minimize(rosen, np.array([-1.2, 1.0]), 1e-10)
     assert np.max(np.abs(x - 1.0)) < 1e-6

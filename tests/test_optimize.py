@@ -11,14 +11,16 @@ from lcunorm.tensors import load_fixture, to_chemist
 
 
 def test_scalar_quadratic():
-    x, f, _ = minimize(lambda x: float((x[0] - 3.0) ** 2), np.zeros(1))
+    x, f, _ = minimize(lambda x: (float((x[0] - 3.0) ** 2), 2.0 * (x - 3.0)), np.zeros(1))
     assert abs(x[0] - 3.0) < 1e-8
     assert f < 1e-15
 
 
 def test_rosenbrock():
     def f(x):
-        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+        cost = float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+        dx1 = 200.0 * (x[1] - x[0] ** 2)
+        return cost, np.array([-2.0 * x[0] * dx1 - 2.0 * (1.0 - x[0]), dx1])
 
     x, fval, _ = minimize(f, np.array([-1.2, 1.0]))
     assert np.abs(x - 1.0).max() < 1e-6
@@ -40,17 +42,31 @@ def test_random_convex_quadratic():
 
 def test_never_worse_than_start():
     # start at the minimum of a flat-bottomed cost; result must not regress
-    x, f, _ = minimize(lambda x: float(abs(x[0]) + 1.0), np.zeros(1))
+    x, f, _ = minimize(lambda x: (float(abs(x[0]) + 1.0), np.sign(x)), np.zeros(1))
     assert f <= 1.0
 
 
 def test_non_finite_cost_raises():
     def f(x):
-        return float((x[0] - 3.0) ** 2) if x[0] < 2.0 else float("inf")
+        return float((x[0] - 3.0) ** 2) if x[0] < 2.0 else float("inf"), 2.0 * (x - 3.0)
 
-    with pytest.raises(NumericalError) as err:
-        minimize(f, np.zeros(1))
-    assert "last_x" in err.value.payload
+    # the cost turns infinite during the search, or is NaN at the start
+    for cost in (f, lambda x: (float("nan"), np.zeros(1))):
+        with pytest.raises(NumericalError) as err:
+            minimize(cost, np.zeros(1))
+        assert "last_x" in err.value.payload
+
+
+def test_finite_difference_mode_is_gone():
+    calls = []
+
+    def f(x):
+        calls.append(None)
+        return float(x @ x), 2.0 * x
+
+    with pytest.raises(ValueError):
+        minimize(f, np.ones(2), 1e-8, False)
+    assert not calls
 
 
 def test_deterministic():
@@ -59,7 +75,7 @@ def test_deterministic():
     a = a @ a.T + np.eye(4)
 
     def f(x):
-        return float(x @ a @ x + np.sin(x).sum())
+        return float(x @ a @ x + np.sin(x).sum()), 2.0 * a @ x + np.cos(x)
 
     x0 = rng.standard_normal(4)
     r1 = minimize(f, x0.copy())
@@ -95,8 +111,8 @@ def test_smoothed_cost_tracks_exact():
 
 def test_oo_pauli_work_budget_on_lih(monkeypatch):
     # a machine-independent guard on the cold cost of the orbital search:
-    # on analytic gradients it evaluates the closed form ~5,000 times on
-    # LiH; searches on finite-difference gradients take ~39,000
+    # on analytic gradients alone it evaluates the closed form ~1,000 times
+    # on LiH; a finite-difference search of the exact cost took ~4,000 more
     import lcunorm.optimize as opt
 
     calls = []
@@ -109,5 +125,5 @@ def test_oo_pauli_work_budget_on_lih(monkeypatch):
     monkeypatch.setattr(opt, "_closed_form", counted)
     t = to_chemist(load_fixture("lih"))
     _, lam = oo_pauli(t)
-    assert len(calls) <= 10_000
+    assert len(calls) <= 2_500
     assert lam < lambda_pauli_closed_form(t)

@@ -204,8 +204,13 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert main(["h2", "--shift", "--picture", "interaction"]) == 2
     assert main([str(tmp_path)]) == 2
     assert main(["h2", "--methods", "pauli", "--out", str(tmp_path / "missing" / "r.txt")]) == 2
+    # a NaN integral is an input error, not a 1-norm of nan
+    lines = fixture_path("h2").read_text().splitlines()
+    lines[-2] = " ".join(["nan", *lines[-2].split()[1:]])  # a one-body integral
+    (tmp_path / "nan.fcidump").write_text("\n".join(lines) + "\n")
+    assert main([str(tmp_path / "nan.fcidump"), "--methods", "pauli"]) == 2
     err = capsys.readouterr().err
-    assert err.count("lcunorm: error:") == 5
+    assert err.count("lcunorm: error:") == 6
 
 
 def test_cli_numerical_failure_exit(tmp_path, monkeypatch):

@@ -71,6 +71,9 @@ def test_parse_slash_terminator():
         # an index must be an integer, not a float with an integer part
         ("&FCI NORB=2,NELEC=2\n&END\n 1.0 1.5 1 1 1\n", "int()"),
         ("&FCI NORB=2,NELEC=2\n&END\n 1.0 1.0 1 1 1\n", "int()"),
+        # numpy and float() both read these
+        ("&FCI NORB=1,NELEC=1\n&END\n nan 1 1 1 1\n", "non-finite"),
+        ("&FCI NORB=1,NELEC=1\n&END\n 0.5 1 1 1 1\n -inf 1 1 0 0\n", "non-finite"),
     ],
 )
 def test_parse_errors(text, fragment):
