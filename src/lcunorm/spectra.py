@@ -8,15 +8,18 @@ spin-orbital ordering p = 2i + sigma used elsewhere maps onto this blocked
 ordering through a signed permutation handled at the Fock-operator
 boundary.
 
-The tensors are spin-free, so swapping the spins maps sector (na, nb)
-onto (nb, na), and the two share one spectrum; `spectral_range` therefore
-diagonalizes only the sectors with nb <= na.  Inside a sector the
+The tensors are spin-free, so the Hamiltonian commutes with S^2 and S+-:
+a level of spin S has a state at each S_z = -S..S, so it appears in the
+sector of its electron number with n_alpha - n_beta in {0, 1}, and
+`spectral_range` visits only those 2n + 1 sectors.  Inside a sector the
 Hamiltonian is a same-spin operator for each spin plus one cross-spin sum
 sum_y D_y (x) At_y, beta excitations D_y = E_pq against alpha partners At_y
-weighted by g + g.T.  A sector keeps only those two stacks, so the Lanczos
-matvec runs as two GEMMs.  That data grows as n^2 d^2, so `spectral_range`
-estimates the peak bytes of its largest sector first and raises
-NumericalError above `_SECTOR_BYTES_LIMIT` (1 GiB) instead of allocating it.
+weighted by g + g.T.  A sector keeps only the dense At and the sparse D
+(each beta state has k + k(n - k) incoming excitations), so the Lanczos
+matvec runs as one GEMM and one sparse product.  The dense stack grows as
+n^2 d^2, so `spectral_range` estimates the peak bytes of its largest
+sector first and raises NumericalError above `_SECTOR_BYTES_LIMIT` (1 GiB)
+instead of allocating it.
 """
 
 import mmap
@@ -25,6 +28,8 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.linalg.lapack import dstemr
+from scipy.sparse import csr_array
 
 from .errors import NumericalError
 
@@ -93,9 +98,9 @@ class _Sector:
     splits into the same-spin operators `ha` (e0 folded in) and `hb` and
     the cross-spin sum_y D_y[beta] (x) At_y[alpha], where
     At_y = sum_x (g + g.T)[y, x] D_x collects both orderings of the pair
-    exactly, whatever the symmetry of g.  The sector keeps D[beta] as
-    d_rows[B, (B', y)] and At[alpha] as at_cols[a', (y, a)], the layouts
-    in which each is one GEMM operand.
+    exactly, whatever the symmetry of g.  The sector keeps D[beta] as the
+    sparse d_rows[B, (B', y)] and At[alpha] as the dense at_cols[a', (y, a)],
+    the layouts in which each is one product operand.
     """
 
     def __init__(self, t, n_alpha, n_beta):
@@ -106,7 +111,7 @@ class _Sector:
         self.db = len(self.masks_b)
         self.dim = self.da * self.db
         d, self.hb = _spin_parts(t, self.masks_b)
-        self.d_rows = d.transpose(1, 2, 0).reshape(self.db, -1)
+        self.d_rows = csr_array(d.transpose(1, 2, 0).reshape(self.db, -1))
         h_a = self.hb
         if n_alpha != n_beta:
             del d  # the beta stack lives on only as d_rows
@@ -121,8 +126,8 @@ class _Sector:
     def matvec(self, vec):
         v = vec.reshape(self.db, self.da)
         w = self.hb @ v + v @ self.ha.T
-        # sum_y D_y[beta] @ v @ At_y[alpha].T: the second GEMM contracts
-        # (B', y), the first's output rows read as that pair
+        # sum_y D_y[beta] @ v @ At_y[alpha].T: the sparse product contracts
+        # (B', y), the GEMM's output rows read as that pair
         t = v @ self.at_cols
         w += self.d_rows @ t.reshape(-1, self.da)
         return w.ravel()
@@ -158,10 +163,10 @@ def _lanczos_extremes(matvec, dim):
         w = w - qmat.T @ (qmat @ w)
         w = w - qmat.T @ (qmat @ w)
         b = float(np.linalg.norm(w))
-        tmat_vals, tmat_vecs = _tridiag_eig(alphas, betas)
-        res = b * max(abs(tmat_vecs[-1, 0]), abs(tmat_vecs[-1, -1]))
+        (lo, last_lo), (hi, last_hi) = _tridiag_extremes(alphas, betas)
+        res = b * max(abs(last_lo), abs(last_hi))
         if res <= _LANCZOS_TOL or b < 1e-13 or j == dim - 1:
-            return float(tmat_vals[0]), float(tmat_vals[-1]), res
+            return lo, hi, res
         betas.append(b)
         if j + 1 < steps:
             basis[j + 1] = w / b
@@ -171,12 +176,18 @@ def _lanczos_extremes(matvec, dim):
     )
 
 
-def _tridiag_eig(alphas, betas):
-    from scipy.linalg import eigh_tridiagonal
-
-    if len(alphas) == 1:
-        return np.array(alphas), np.ones((1, 1))
-    return eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
+def _tridiag_extremes(alphas, betas):
+    """[(value, last eigenvector component)] of the lowest and the highest
+    eigenpair of the symmetric tridiagonal matrix with diagonal `alphas`
+    and off-diagonal `betas`; LAPACK's MRRR solver computes just those two."""
+    ends = []
+    for i in (1, len(alphas)):
+        # dstemr takes the off-diagonal padded to length m and overwrites it
+        _, w, z, info = dstemr(alphas, np.append(betas, 0.0), 2, 0.0, 0.0, i, i)
+        if info:
+            raise NumericalError(f"tridiagonal eigensolver failed (info {info})")
+        ends.append((float(w[0]), float(z[-1, 0])))
+    return ends
 
 
 @dataclass
@@ -194,24 +205,31 @@ class SpectralRange:
         return 0.5 * (self.e_max - self.e_min)
 
 
+def _sectors(n):
+    """The sectors `spectral_range` visits: n_alpha - n_beta in {0, 1},
+    one per electron number 0..2n."""
+    return [((m + 1) // 2, m // 2) for m in range(2 * n + 1)]
+
+
 def _sector_bytes(n, na, nb):
-    """Estimated peak bytes of one sector: its operator data (the d_rows and
-    at_cols stacks) plus the larger of the stack held only while they are
-    built and the Lanczos work (a matvec's intermediate and the basis)."""
+    """Estimated peak bytes of one sector: the larger of what is held while
+    it is built (a dense excitation stack next to its product with g) and
+    while Lanczos runs (the dense at_cols stack, a matvec's intermediate
+    and the basis), plus the sparse d_rows stack."""
     da, db = comb(n, na), comb(n, nb)
     dim = da * db
-    stacks = n * n * (da * da + db * db)
-    build = n * n * max(da * da, db * db)
-    work = n * n * dim + min(dim, _LANCZOS_CAP) * dim
-    return 8 * (stacks + max(build, work))
+    build = 2 * n * n * max(da, db) ** 2
+    run = n * n * (da * da + dim) + min(dim, _LANCZOS_CAP) * dim
+    # d_rows: a value and a 32-bit column index per entry, a pointer per row
+    sparse = 12 * db * (nb + nb * (n - nb)) + 4 * (db + 1)
+    return 8 * max(build, run) + sparse
 
 
 def _check_size(n):
-    """Raise before any allocation if the largest sector would not fit."""
-    sizes = {
-        (na, nb): _sector_bytes(n, na, nb) for na in range(n + 1) for nb in range(na + 1)
-    }
-    (na, nb), size = max(sizes.items(), key=lambda item: item[1])
+    """Raise before any allocation if the largest visited sector would not fit."""
+    (na, nb), size = max(
+        ((s, _sector_bytes(n, *s)) for s in _sectors(n)), key=lambda item: item[1]
+    )
     if size > _SECTOR_BYTES_LIMIT:
         raise NumericalError(
             f"spectral range: sector (n_alpha={na}, n_beta={nb}) needs about "
@@ -224,24 +242,24 @@ def _check_size(n):
 def spectral_range(t):
     """Extremes of the Hamiltonian over the whole Fock space.
 
-    Lanczos on each sector with n_beta <= n_alpha; the residual is the
-    worst bound over those sectors.  Swapping the spins of the spin-free
-    tensors maps sector (na, nb) onto (nb, na), so both have one
-    spectrum.  Raises NumericalError, before building any sector, when
-    the largest sector would exceed `_SECTOR_BYTES_LIMIT`, and when a
-    sector's Lanczos run reaches `_LANCZOS_CAP` steps.
+    The tensors are spin-free, so the Hamiltonian commutes with S^2 and
+    S+-: each level belongs to a multiplet with S >= |S_z| and so has a
+    state with n_alpha - n_beta in {0, 1}.  Lanczos therefore runs on
+    those 2n + 1 sectors only; the residual is the worst bound over them.
+    Raises NumericalError, before building any sector, when the largest
+    of them would exceed `_SECTOR_BYTES_LIMIT`, and when a sector's
+    Lanczos run reaches `_LANCZOS_CAP` steps.
     """
     n = t.n_orb
     _check_size(n)
     e_min, e_max = np.inf, -np.inf
     worst = 0.0
-    for na in range(n + 1):
-        for nb in range(na + 1):
-            sec = _Sector(t, na, nb)
-            lo, hi, res = _lanczos_extremes(sec.matvec, sec.dim)
-            worst = max(worst, res)
-            e_min = min(e_min, lo)
-            e_max = max(e_max, hi)
+    for na, nb in _sectors(n):
+        sec = _Sector(t, na, nb)
+        lo, hi, res = _lanczos_extremes(sec.matvec, sec.dim)
+        worst = max(worst, res)
+        e_min = min(e_min, lo)
+        e_max = max(e_max, hi)
     return SpectralRange(e_min, e_max, worst)
 
 
@@ -251,7 +269,10 @@ class FockOperator:
     Bit p of a basis index is the occupation of spin-orbital p = 2i + sigma.
     Internally blocked by particle sectors; the reordering between the
     interleaved creation-operator string and the blocked
-    (alpha-then-beta) string contributes the per-state sign below.
+    (alpha-then-beta) string contributes the per-state sign below.  It
+    builds every sector, and is the only user of those with
+    n_beta > n_alpha: `minimal_lcu` (the two-reflection LCU) needs the
+    whole spectrum with its eigenvectors, not just the extremes.
     """
 
     def __init__(self, t):

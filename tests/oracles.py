@@ -8,7 +8,8 @@ that the library does not run: spin-resolved two-electron tensors, Pauli
 words with their products and matrices, the Jordan-Wigner mapping as a
 word-by-word dict loop, the Majorana-operator route to Pauli words, the
 pairwise check and the dense reflection of an anticommuting group, the
-spectrum at a fixed electron number, the symmetry-shift problem as a
+spectrum at a fixed electron number, the spectral range as Lanczos on
+every particle sector, the symmetry-shift problem as a
 linear program, the theta gradient of a rotation through scipy's
 Frechet derivative of the matrix exponential, and the count of
 reflection-pair products as a loop over the entries.
@@ -23,6 +24,7 @@ from lcunorm.errors import NumericalError
 from lcunorm.fragments import _tril
 from lcunorm.grouping import sorted_insertion
 from lcunorm.pauli import PRUNE_TOL, PauliPolynomial
+from lcunorm.spectra import _Sector, _lanczos_extremes
 from lcunorm.symshift import weighted_median
 from lcunorm.tensors import SpatialTensors
 
@@ -643,6 +645,19 @@ def sector_spectrum(t, n_elec):
         raise ValueError(f"electron count {n_elec} outside [0, {2 * n}]")
     idx = [b for b in range(1 << (2 * n)) if b.bit_count() == n_elec]
     return np.linalg.eigvalsh(dense_hamiltonian(t)[np.ix_(idx, idx)])
+
+
+def all_sector_range(t):
+    """(e_min, e_max) from Lanczos on every (n_alpha, n_beta) sector, with
+    no spin argument to skip any of them."""
+    lows, highs = [], []
+    for na in range(t.n_orb + 1):
+        for nb in range(t.n_orb + 1):
+            sec = _Sector(t, na, nb)
+            lo, hi, _ = _lanczos_extremes(sec.matvec, sec.dim)
+            lows.append(lo)
+            highs.append(hi)
+    return min(lows), max(highs)
 
 
 # ---- the symmetry-shift problem as a linear program ------------------------

@@ -1,10 +1,12 @@
 """Spectral-range, sector, and minimal-LCU tests against dense oracles."""
 
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from lcunorm import spectra
 from lcunorm.errors import NumericalError
@@ -13,12 +15,18 @@ from lcunorm.spectra import (
     SpectralRange,
     _Sector,
     _lanczos_extremes,
+    _tridiag_extremes,
     minimal_lcu,
     spectral_range,
 )
 from lcunorm.tensors import SpatialTensors, load_fixture, to_chemist
 
-from oracles import dense_hamiltonian, random_spatial, sector_spectrum
+from oracles import (
+    all_sector_range,
+    dense_hamiltonian,
+    random_spatial,
+    sector_spectrum,
+)
 
 
 def chemist(name):
@@ -157,13 +165,100 @@ def test_shift_moves_sectors_by_number_polynomial():
 
 
 def test_spin_flipped_sectors_share_a_spectrum():
-    # why spectral_range may skip the sectors with n_beta > n_alpha
+    # one reason spectral_range may skip the sectors with n_beta > n_alpha
     t = random_spatial(3, np.random.default_rng(6))
     for na in range(4):
         for nb in range(na):
             ab = np.linalg.eigvalsh(sector_matrix(_Sector(t, na, nb)))
             ba = np.linalg.eigvalsh(sector_matrix(_Sector(t, nb, na)))
             assert np.max(np.abs(ab - ba)) < 1e-10
+
+
+def _without_pair_exchange(n, rng):
+    # Hermitian (g[p,q,r,s] = g[s,r,q,p]) and spin-free, but without the
+    # ij<->kl symmetry that SpatialTensors enforces, so bypass it
+    g = rng.normal(size=(n,) * 4)
+    g = g + g.transpose(3, 2, 1, 0)
+    assert np.max(np.abs(g - g.transpose(2, 3, 0, 1))) > 0.1
+    obt = rng.normal(size=(n, n))
+    return SimpleNamespace(n_orb=n, e0=0.3, obt=obt + obt.T, tbt=g)
+
+
+def _spin_free_tensors():
+    rng = np.random.default_rng(9)
+    yield from (random_spatial(n, rng) for n in (2, 3, 4) for _ in range(2))
+    yield _without_pair_exchange(3, rng)
+
+
+def test_balanced_sectors_give_the_full_range():
+    # the S^2 argument: every level has a state with n_alpha - n_beta in {0, 1}
+    for t in _spin_free_tensors():
+        sr = spectral_range(t)
+        lo, hi = all_sector_range(t)
+        assert abs(sr.e_min - lo) <= 1e-12 * max(1.0, abs(lo))
+        assert abs(sr.e_max - hi) <= 1e-12 * max(1.0, abs(hi))
+
+
+def test_unbalanced_sectors_hold_no_new_level():
+    # each level of a sector with n_alpha - n_beta >= 2 is a level of the
+    # balanced sector with the same electron number
+    for t in _spin_free_tensors():
+        n = t.n_orb
+        for na in range(n + 1):
+            for nb in range(na - 1):
+                m = na + nb
+                inner = np.linalg.eigvalsh(sector_matrix(_Sector(t, na, nb)))
+                outer = np.linalg.eigvalsh(sector_matrix(_Sector(t, (m + 1) // 2, m // 2)))
+                gaps = np.abs(inner[:, None] - outer[None, :]).min(axis=1)
+                assert gaps.max() < 1e-9, (n, na, nb)
+
+
+def test_tridiagonal_extremes_match_the_full_solve():
+    rng = np.random.default_rng(10)
+    for m in range(1, 151):
+        d = rng.normal(size=m)
+        e = rng.normal(size=m - 1)
+        tiny = rng.random(m - 1) < 0.2
+        e[tiny] *= 10.0 ** rng.uniform(-300, -8, size=tiny.sum())
+        vals, vecs = eigh_tridiagonal(d, e)
+        (lo, last_lo), (hi, last_hi) = _tridiag_extremes(list(d), list(e))
+        scale = max(abs(vals[0]), abs(vals[-1]))
+        assert abs(lo - vals[0]) <= 1e-12 * scale, m
+        assert abs(hi - vals[-1]) <= 1e-12 * scale, m
+        assert abs(abs(last_lo) - abs(vecs[-1, 0])) <= 1e-10, m
+        assert abs(abs(last_hi) - abs(vecs[-1, -1])) <= 1e-10, m
+
+
+@pytest.mark.parametrize("name", ["lih", "nh3"])
+def test_spectral_range_builds_one_sector_per_electron_number(monkeypatch, name):
+    built = []
+
+    class Counted(_Sector):
+        def __init__(self, t, na, nb):
+            built.append((na, nb))
+            super().__init__(t, na, nb)
+
+    monkeypatch.setattr(spectra, "_Sector", Counted)
+    monkeypatch.setattr(spectra, "_lanczos_extremes", lambda matvec, dim: (0.0, 0.0, 0.0))
+    t = chemist(name)
+    spectral_range(t)
+    assert len(built) == 2 * t.n_orb + 1
+    assert sorted(na + nb for na, nb in built) == list(range(2 * t.n_orb + 1))
+
+
+def test_sector_memory_stays_inside_its_estimate():
+    # tracemalloc sees numpy's allocations but not the Lanczos basis, an
+    # anonymous mapping, so the rows Lanczos wrote are added to its peak
+    t = chemist("nh3")
+    steps = []
+    tracemalloc.start()
+    try:
+        sec = _Sector(t, 4, 4)
+        _lanczos_extremes(lambda v: steps.append(1) or sec.matvec(v), sec.dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak + 8 * len(steps) * sec.dim <= spectra._sector_bytes(8, 4, 4)
 
 
 def test_oversized_sectors_fail_before_allocating():
