@@ -1,4 +1,10 @@
-"""LCU 1-norm estimation for molecular electronic-structure Hamiltonians."""
+"""LCU 1-norm estimation for molecular electronic-structure Hamiltonians.
+
+Importing the package loads numpy alone.  scipy is imported inside the
+functions that call it, on first use: dE/2's Lanczos, the BFGS searches
+(orbital optimization, greedy CSA, the interaction-picture split) and
+CSA's DF start.
+"""
 
 from .errors import NumericalError, ParseError
 from .fragments import (

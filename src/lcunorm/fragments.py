@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import logm
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalError
 from .tensors import SpatialTensors
@@ -282,6 +280,9 @@ def _df_start(tbt):
     a positive diagonal, the smallest flipped back if det is -1, so that
     the log is real and small.
     """
+    from scipy.linalg import logm
+    from scipy.optimize import linear_sum_assignment
+
     n = tbt.shape[0]
     w, v = np.linalg.eigh(tbt.reshape(n * n, n * n))
     ell = v[:, np.argmax(np.abs(w))].reshape(n, n)

@@ -6,6 +6,13 @@ members all anticommute with it.  A group with coefficients c_1..c_n
 contributes sqrt(sum c_k^2) to the 1-norm, since the normalized group sum
 extends to a reflection.
 
+The scan runs one group at a time, which gives the same partition: a term
+joins group g exactly when groups 0..g-1 refused it and it anticommutes
+with g's earlier members.  The first unassigned term opens a group, its
+candidates are the later unassigned terms, each new member filters them to
+those that anticommute with it, and the first candidate left joins next.
+So only the candidates still open are tested, not every earlier term.
+
 Ties are broken on clusters of |c|, not on exact values.  In the sorted
 magnitudes a new cluster starts wherever the gap to the previous one
 exceeds TIE_TOL * max|c|; inside a cluster the terms go in word order
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _unpack
+from .pauli import _HALF, _unpack
 
 __all__ = ["AcGroup", "AcPartition", "sorted_insertion"]
 
@@ -75,18 +82,17 @@ def _insertion_order(poly):
 def sorted_insertion(poly):
     """Partition the non-identity terms of a polynomial into anticommuting groups."""
     keys, coeffs = _insertion_order(poly)
-    if not len(keys):
-        return AcPartition(poly.n_qubits, [])
-    x, z = _unpack(keys)
-    gid = np.empty(len(keys), dtype=np.intp)
-    n_groups = 0
-    for t in range(len(keys)):
-        # members that commute with term t bar their group from taking it
-        commute = np.bitwise_count((x[:t] & z[t]) ^ (z[:t] & x[t])) % 2 == 0
-        free = np.flatnonzero(np.bincount(gid[:t][commute], minlength=n_groups) == 0)
-        gid[t] = free[0] if free.size else n_groups
-        n_groups = max(n_groups, gid[t] + 1)
-    members = np.split(np.argsort(gid, kind="stable"), np.cumsum(np.bincount(gid))[:-1])
-    return AcPartition(
-        poly.n_qubits, [AcGroup(poly.n_qubits, keys[m], coeffs[m]) for m in members]
-    )
+    # key & swapped(other) holds x & z' and z & x' in its two halves, so the
+    # parity of its popcount is the symplectic form: odd means they anticommute
+    swapped = keys << _HALF | keys >> _HALF
+    free = np.ones(len(keys), dtype=bool)
+    groups = []
+    while free.any():
+        members, cand = [], np.flatnonzero(free)
+        while cand.size:
+            m, cand = cand[0], cand[1:]
+            members.append(m)
+            cand = cand[np.bitwise_count(keys[cand] & swapped[m]) % 2 == 1]
+        free[members] = False
+        groups.append(AcGroup(poly.n_qubits, keys[members], coeffs[members]))
+    return AcPartition(poly.n_qubits, groups)

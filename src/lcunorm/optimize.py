@@ -3,7 +3,6 @@
 from functools import partial
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NumericalError
 from .fragments import _antisymmetric, _expm_antisym, _rotate, _theta_grad, theta_dim
@@ -47,6 +46,8 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
     """
     if not jac:
         raise ValueError("minimize needs f to return (cost, gradient): jac must be true")
+    import scipy.optimize
+
     x0 = np.asarray(x0, dtype=float)
 
     def checked(x):

@@ -28,8 +28,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.linalg.lapack import dstemr
-from scipy.sparse import csr_array
 
 from .errors import NumericalError
 
@@ -104,6 +102,8 @@ class _Sector:
     """
 
     def __init__(self, t, n_alpha, n_beta):
+        from scipy.sparse import csr_array
+
         n = t.n_orb
         self.masks_a = _sector_basis(n, n_alpha)
         self.masks_b = _sector_basis(n, n_beta)
@@ -180,6 +180,8 @@ def _tridiag_extremes(alphas, betas):
     """[(value, last eigenvector component)] of the lowest and the highest
     eigenpair of the symmetric tridiagonal matrix with diagonal `alphas`
     and off-diagonal `betas`; LAPACK's MRRR solver computes just those two."""
+    from scipy.linalg.lapack import dstemr
+
     ends = []
     for i in (1, len(alphas)):
         # dstemr takes the off-diagonal padded to length m and overwrites it

@@ -7,7 +7,8 @@ assembled by explicit loops.  Usable up to ~12 modes.  The rest is code
 that the library does not run: spin-resolved two-electron tensors, Pauli
 words with their products and matrices, the Jordan-Wigner mapping as a
 word-by-word dict loop, the Majorana-operator route to Pauli words, the
-pairwise check and the dense reflection of an anticommuting group, the
+pairwise check and the dense reflection of an anticommuting group,
+sorted insertion as the term-by-term scan over every earlier term, the
 spectrum at a fixed electron number, the spectral range as Lanczos on
 every particle sector, the symmetry-shift problem as a
 linear program, the theta gradient of a rotation through scipy's
@@ -22,8 +23,8 @@ import scipy.linalg
 
 from lcunorm.errors import NumericalError
 from lcunorm.fragments import _tril
-from lcunorm.grouping import sorted_insertion
-from lcunorm.pauli import PRUNE_TOL, PauliPolynomial
+from lcunorm.grouping import AcGroup, AcPartition, _insertion_order, sorted_insertion
+from lcunorm.pauli import PRUNE_TOL, PauliPolynomial, _unpack
 from lcunorm.spectra import _Sector, _lanczos_extremes
 from lcunorm.symshift import weighted_median
 from lcunorm.tensors import SpatialTensors
@@ -591,6 +592,25 @@ def lambda_ac(obj):
     if isinstance(obj, PauliPolynomial):
         obj = sorted_insertion(obj)
     return obj.one_norm()
+
+
+def sorted_insertion_termwise(poly):
+    """Sorted insertion term by term: each term, in insertion order, is checked
+    against every earlier term and joins the first group with no member that
+    commutes with it (a new group if there is none)."""
+    keys, coeffs = _insertion_order(poly)
+    x, z = _unpack(keys)
+    gid = np.empty(len(keys), dtype=np.intp)
+    n_groups = 0
+    for t in range(len(keys)):
+        commute = np.bitwise_count((x[:t] & z[t]) ^ (z[:t] & x[t])) % 2 == 0
+        free = np.flatnonzero(np.bincount(gid[:t][commute], minlength=n_groups) == 0)
+        gid[t] = free[0] if free.size else n_groups
+        n_groups = max(n_groups, gid[t] + 1)
+    members = [np.flatnonzero(gid == g) for g in range(n_groups)]
+    return AcPartition(
+        poly.n_qubits, [AcGroup(poly.n_qubits, keys[m], coeffs[m]) for m in members]
+    )
 
 
 def group_words(group):

@@ -14,6 +14,7 @@ from oracles import (
     pauli_polynomial,
     unpack,
     random_spatial,
+    sorted_insertion_termwise,
     validate_partition,
 )
 
@@ -101,10 +102,42 @@ def test_lambda_ac_accepts_partition():
     assert lambda_ac(poly) == part.one_norm()
 
 
+def _assert_same_partition(poly):
+    got, want = sorted_insertion(poly), sorted_insertion_termwise(poly)
+    assert len(got.groups) == len(want.groups)
+    for g, w in zip(got.groups, want.groups):
+        assert g.keys.dtype == w.keys.dtype
+        assert g.keys.tolist() == w.keys.tolist()
+        assert g.coeffs.tolist() == w.coeffs.tolist()
+
+
+@pytest.mark.parametrize("variant", ["raw", "shifted", "residual"])
+@pytest.mark.parametrize("molecule", ["h2", "lih", "beh2", "h2o", "nh3"])
+def test_group_scan_matches_the_termwise_scan(runner, molecule, variant):
+    _assert_same_partition(jordan_wigner(runner.prepared(molecule, variant).tensors))
+
+
+@pytest.mark.parametrize("n_qubits", [2, 4, 8])
+def test_group_scan_matches_the_termwise_scan_under_ties(n_qubits):
+    # few magnitudes, some nudged by far less than TIE_TOL, so that clusters
+    # of tied terms go in word order
+    rng = np.random.default_rng(71 + n_qubits)
+    for _ in range(5):
+        keys = np.unique(pack(*rng.integers(0, 1 << n_qubits, size=(2, 300), dtype=np.uint64)))
+        mags = rng.choice([1.0, 0.5, 0.25, 0.125], size=len(keys))
+        mags *= 1.0 + rng.choice([0.0, 1e-13, -1e-13], size=len(keys))
+        coeffs = mags * rng.choice([-1.0, 1.0], size=len(keys))
+        _assert_same_partition(PauliPolynomial(n_qubits, keys, coeffs))
+
+
 def test_empty_and_identity_only():
     assert sorted_insertion(PauliPolynomial(3, [], [])).groups == []
     only_id = pauli_polynomial(3, {"III": 4.2})
     assert lambda_ac(only_id) == 0.0
+    _assert_same_partition(only_id)
+    one = pauli_polynomial(3, {"XYZ": -0.7})
+    assert [g.keys.tolist() for g in sorted_insertion(one).groups] == [one.keys.tolist()]
+    _assert_same_partition(one)
 
 
 def test_singleton_unitary():

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -321,3 +324,51 @@ def test_benchmark_checker_reads_the_session_reports(runner, monkeypatch):
     lowered = {**cold, ("h2", "raw"): json.dumps(doc)}
     failed = checks.check_round(reference, methods, lowered, lowered, tensors)
     assert ("h2", "raw", "pauli") in failed
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh_python(code, *args):
+    """Run `code` in a new interpreter that imports lcunorm from this tree."""
+    env = {k: v for k, v in os.environ.items() if k != "LCUNORM_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_scipy_loads_only_where_it_is_used(tmp_path):
+    # The package, the CLI, cold Schrodinger-picture Pauli/AC/DF and a warm
+    # residual report need numpy alone; dE/2 (like the searches, the CSA start
+    # and an uncached split) loads scipy on first use.
+    warm, cold = str(tmp_path / "warm"), str(tmp_path / "cold")
+    _fresh_python(
+        """
+        import sys
+        from lcunorm.pipeline import run_pipeline
+        run_pipeline("h2", picture="interaction", cache_dir=sys.argv[1])
+        """,
+        warm,
+    )
+    _fresh_python(
+        """
+        import sys
+        import lcunorm, lcunorm.cli
+        from lcunorm.pipeline import run_pipeline
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        warm, cold = sys.argv[1:]
+        run_pipeline("h2", methods=["pauli", "ac", "df"], shift=True, cache_dir=cold)
+        run_pipeline("h2", picture="interaction", cache_dir=warm)
+        assert not scipy_modules(), scipy_modules()[:5]
+        run_pipeline("h2", methods=["de2"], cache_dir=cold)
+        assert "scipy" in scipy_modules()
+        """,
+        warm,
+        cold,
+    )
