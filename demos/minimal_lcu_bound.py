@@ -10,7 +10,7 @@ Run:  python demos/minimal_lcu_bound.py
 import numpy as np
 
 from lcunorm import (
-    FockOperator,
+    jordan_wigner,
     load_fixture,
     minimal_lcu,
     run_pipeline,
@@ -24,7 +24,7 @@ print(f"H2 spectrum over the whole Fock space: [{sr.e_min:.4f}, {sr.e_max:.4f}]"
 print(f"half-range (the 1-norm floor): {sr.half_range:.4f}\n")
 
 gamma, coeff, u_plus, u_minus = minimal_lcu(t)
-h = FockOperator(t).dense()
+h = jordan_wigner(t).dense()
 dim = h.shape[0]
 err = np.max(np.abs(gamma * np.eye(dim) + coeff * (u_plus + u_minus) - h))
 unitarity = np.max(np.abs(u_plus @ u_plus.conj().T - np.eye(dim)))

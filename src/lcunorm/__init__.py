@@ -30,12 +30,7 @@ from .optimize import minimize, oo_pauli
 from .pauli import PauliPolynomial, jordan_wigner, lambda_pauli_closed_form
 from .picture import PictureSplit, split_interaction
 from .pipeline import METHOD_ORDER, NormReport, emit_table, run_pipeline
-from .spectra import (
-    FockOperator,
-    SpectralRange,
-    minimal_lcu,
-    spectral_range,
-)
+from .spectra import SpectralRange, minimal_lcu, spectral_range
 from .symshift import (
     SymmetryShift,
     apply_shift,

@@ -162,16 +162,17 @@ def fragment_tensor(f):
     return np.einsum("ija,klb,ab->ijkl", w, w, lam, optimize=True)
 
 
-def double_factorize(t, tol=1e-12):
+DF_TOL = 1e-12  # DF drops eigenvalues of at most this magnitude
+
+
+def double_factorize(t):
     """Eigendecomposition of the N^2 x N^2 two-electron matrix into rank-1 fragments.
 
-    Fragments are emitted in order of decreasing eigenvalue magnitude; each
-    carries eps_i = sqrt(|w|) d_i with L = u diag(d) u^T the reshaped
-    eigenvector and sign = sign(w).  Negative eigenvalues appear after
-    symmetry shifts.
+    Fragments are emitted in order of decreasing eigenvalue magnitude,
+    those with |w| <= DF_TOL dropped; each carries eps_i = sqrt(|w|) d_i
+    with L = u diag(d) u^T the reshaped eigenvector and sign = sign(w).
+    Negative eigenvalues appear after symmetry shifts.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = t.n_orb
     g = t.tbt.reshape(n * n, n * n)
     if np.abs(g - g.T).max() > 1e-10 * max(1.0, np.abs(g).max()):
@@ -180,7 +181,7 @@ def double_factorize(t, tol=1e-12):
     order = np.argsort(-np.abs(w), kind="stable")
     frags = []
     for k in order:
-        if abs(w[k]) <= tol:
+        if abs(w[k]) <= DF_TOL:
             continue
         ell = v[:, k].reshape(n, n)
         ell = 0.5 * (ell + ell.T)
@@ -267,6 +268,7 @@ def _theta_grad(eig, gu):
     return z[rows, cols] - z[cols, rows]
 
 
+CSA_TOL = 1e-6  # the paper's CSA stopping residual
 _CSA_FRAGS_PER_ORBITAL = 50  # CSA fails past this many fragments per orbital
 _CSA_TOL_GRAD = 1e-9  # gradient tolerance of each greedy CSA fit
 
@@ -295,7 +297,7 @@ def _df_start(tbt):
     return (0.5 * (a - a.T))[_tril(n, -1)]
 
 
-def csa_greedy(t, stop_tol=1e-6, seed=0):
+def csa_greedy(t, seed=0):
     """Greedy CSA: repeatedly fit one fragment to the two-electron residual.
 
     Each fragment is one BFGS fit of the squared Frobenius norm of
@@ -304,13 +306,11 @@ def csa_greedy(t, stop_tol=1e-6, seed=0):
     _fragment_fit).  The fit starts from the residual's leading DF rotation
     (_df_start) plus a seeded perturbation in (-0.01, 0.01), without which
     BFGS can stall on that stationary point.  Stops when the residual
-    Frobenius norm falls to stop_tol; raises NumericalError if that takes
+    Frobenius norm falls to CSA_TOL; raises NumericalError if that takes
     more than _CSA_FRAGS_PER_ORBITAL fragments per orbital.
     """
     from .optimize import minimize
 
-    if stop_tol <= 0:
-        raise ValueError("stop_tol must be positive")
     n = t.n_orb
     rng = np.random.default_rng(seed)
     target = t.tbt.copy()
@@ -318,11 +318,11 @@ def csa_greedy(t, stop_tol=1e-6, seed=0):
     frags = []
     while True:
         rnorm = float(np.sqrt((target * target).sum()))
-        if rnorm <= stop_tol:
+        if rnorm <= CSA_TOL:
             return frags
         if len(frags) >= cap:
             raise NumericalError(
-                f"CSA exceeded {cap} fragments without reaching {stop_tol:g} "
+                f"CSA exceeded {cap} fragments without reaching {CSA_TOL:g} "
                 f"(residual {rnorm:.3e})",
                 payload={"residual": rnorm, "n_fragments": len(frags)},
             )

@@ -24,6 +24,7 @@ __all__ = [
 
 PRUNE_TOL = 1e-14
 MAX_QUBITS = 32  # each mask takes one half of a 64-bit key
+_DENSE_QUBITS = 10  # largest polynomial `dense` assembles: a 16 MiB matrix
 _HALF = np.uint64(MAX_QUBITS)
 _PHASES = np.array([1, 1j, -1, -1j])
 
@@ -59,6 +60,27 @@ class PauliPolynomial:
 
     def __len__(self):
         return len(self.keys)
+
+    def dense(self):
+        """The 2^n matrix, bit q of a basis index as qubit q.
+
+        Complex, since a lone Y word is imaginary.  Raises NumericalError
+        above 10 qubits before allocating.
+        """
+        if self.n_qubits > _DENSE_QUBITS:
+            raise NumericalError(
+                f"a dense matrix of {self.n_qubits} qubits exceeds the "
+                f"{_DENSE_QUBITS}-qubit limit"
+            )
+        dim = 1 << self.n_qubits
+        out = np.zeros((dim, dim), dtype=complex)
+        cols = np.arange(dim)
+        x, z = (m.astype(np.int64) for m in _unpack(self.keys))
+        phases = self.coeffs * _PHASES[np.bitwise_count(x & z) % 4]
+        # the word is i^|x&z| X^x Z^z: column j goes to row j ^ x with sign (-1)^|z&j|
+        for xi, zi, c in zip(x, z, phases):
+            out[cols ^ xi, cols] += np.where(np.bitwise_count(cols & zi) & 1, -c, c)
+        return out
 
 
 def _product(a, b):

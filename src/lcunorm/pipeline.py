@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from pathlib import Path
@@ -33,6 +34,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .fragments import (
+    CSA_TOL,
+    DF_TOL,
     csa_greedy,
     double_factorize,
     fragment_lambda_matrix,
@@ -81,10 +84,8 @@ class NormReport:
     config: dict
 
 
-# The paper's fixed conventions: the CSA stopping residual, the DF truncation
-# and the threshold below which a term, group or fragment is not counted.
-CSA_TOL = 1e-6
-DF_TOL = 1e-12
+# The paper's threshold below which a term, group or fragment is not counted;
+# its CSA stopping residual and DF truncation live next to their methods.
 COUNT_CUTOFF = 1e-6
 
 
@@ -159,9 +160,15 @@ class _Cache:
         except (OSError, ValueError):
             pass
         doc = compute()
-        with open(path + ".tmp", "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(path + ".tmp", path)
+        # a temp file of its own per writer: writers of one key may interleave
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=self.key(name), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(doc, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return doc
 
 
@@ -195,7 +202,7 @@ class _MethodEngine:
     def gcsa_fragments(self):
         doc = self.cache.fetch(
             "gcsa-frags",
-            lambda: {"frags": fragments_to_json(csa_greedy(self.t, CSA_TOL, self.seed))},
+            lambda: {"frags": fragments_to_json(csa_greedy(self.t, self.seed))},
         )
         return fragments_from_json(doc["frags"])
 
@@ -225,7 +232,7 @@ class _MethodEngine:
         return _entry(part.one_norm(), count)
 
     def _df(self):
-        frags = double_factorize(self.t, tol=DF_TOL)
+        frags = double_factorize(self.t)
         l1 = float(np.abs(self._mu()).sum())
         costs = [lambda_complete_square(f) for f in frags]
         kept = sum(1 for c in costs if c > COUNT_CUTOFF)

@@ -3,10 +3,7 @@
 States are organized by (n_alpha, n_beta) particle sectors.  Inside a
 sector, a state is a pair of spatial-orbital occupation bitmasks and the
 sector vector space is the tensor product (beta-major), so same-spin
-excitations act on one factor with no cross-spin signs.  The interleaved
-spin-orbital ordering p = 2i + sigma used elsewhere maps onto this blocked
-ordering through a signed permutation handled at the Fock-operator
-boundary.
+excitations act on one factor with no cross-spin signs.
 
 The tensors are spin-free, so the Hamiltonian commutes with S^2 and S+-:
 a level of spin S has a state at each S_z = -S..S, so it appears in the
@@ -30,10 +27,10 @@ from math import comb
 import numpy as np
 
 from .errors import NumericalError
+from .pauli import jordan_wigner
 
 __all__ = [
     "SpectralRange",
-    "FockOperator",
     "spectral_range",
     "minimal_lcu",
 ]
@@ -105,17 +102,17 @@ class _Sector:
         from scipy.sparse import csr_array
 
         n = t.n_orb
-        self.masks_a = _sector_basis(n, n_alpha)
-        self.masks_b = _sector_basis(n, n_beta)
-        self.da = len(self.masks_a)
-        self.db = len(self.masks_b)
+        masks_a = _sector_basis(n, n_alpha)
+        masks_b = _sector_basis(n, n_beta)
+        self.da = len(masks_a)
+        self.db = len(masks_b)
         self.dim = self.da * self.db
-        d, self.hb = _spin_parts(t, self.masks_b)
+        d, self.hb = _spin_parts(t, masks_b)
         self.d_rows = csr_array(d.transpose(1, 2, 0).reshape(self.db, -1))
         h_a = self.hb
         if n_alpha != n_beta:
             del d  # the beta stack lives on only as d_rows
-            d, h_a = _spin_parts(t, self.masks_a)
+            d, h_a = _spin_parts(t, masks_a)
         self.ha = h_a + t.e0 * np.eye(self.da)
         g = t.tbt.reshape(n * n, n * n)
         # At_y[a, a'] = sum_x G[y, x] D_x[a, a'] = sum_x G[y, x^T] D_x[a', a],
@@ -265,68 +262,17 @@ def spectral_range(t):
     return SpectralRange(e_min, e_max, worst)
 
 
-class FockOperator:
-    """Hamiltonian on the full 2^(2N) Fock space, interleaved ordering.
-
-    Bit p of a basis index is the occupation of spin-orbital p = 2i + sigma.
-    Internally blocked by particle sectors; the reordering between the
-    interleaved creation-operator string and the blocked
-    (alpha-then-beta) string contributes the per-state sign below.  It
-    builds every sector, and is the only user of those with
-    n_beta > n_alpha: `minimal_lcu` (the two-reflection LCU) needs the
-    whole spectrum with its eigenvectors, not just the extremes.
-    """
-
-    def __init__(self, t):
-        self.n_spin_orb = 2 * t.n_orb
-        n = t.n_orb
-        self._sectors = []
-        for na in range(n + 1):
-            for nb in range(n + 1):
-                sec = _Sector(t, na, nb)
-                idx = np.empty(sec.dim, dtype=np.int64)
-                sgn = np.empty(sec.dim)
-                for rb, mb in enumerate(sec.masks_b):
-                    for ra, ma in enumerate(sec.masks_a):
-                        s = 0
-                        for i in range(n):
-                            if (ma >> i) & 1:
-                                s |= 1 << (2 * i)
-                            if (mb >> i) & 1:
-                                s |= 1 << (2 * i + 1)
-                        crossings = 0
-                        for i in range(n):
-                            if (mb >> i) & 1:
-                                crossings += (ma >> (i + 1)).bit_count()
-                        idx[rb * sec.da + ra] = s
-                        sgn[rb * sec.da + ra] = -1.0 if crossings & 1 else 1.0
-                self._sectors.append((sec, idx, sgn))
-
-    @property
-    def dim(self):
-        return 1 << self.n_spin_orb
-
-    def dense(self):
-        if self.n_spin_orb > 10:
-            raise NumericalError("dense Fock assembly limited to 10 spin-orbitals")
-        h = np.zeros((self.dim, self.dim))
-        for sec, idx, sgn in self._sectors:
-            block = np.column_stack([sec.matvec(e) for e in np.eye(sec.dim)])
-            h[np.ix_(idx, idx)] = np.outer(sgn, sgn) * block
-        return h
-
-
 def minimal_lcu(t):
     """Two-reflection LCU achieving the 1-norm lower bound.
 
     Returns (gamma, coeff, u_plus, u_minus) with
     H = gamma*1 + coeff*(u_plus + u_minus), gamma = e_min + (e_max-e_min)/2
     and coeff = (e_max-e_min)/4; the achieved 1-norm 2*coeff is exactly the
-    spectral half-range.  Dense diagnostic construction.
+    spectral half-range.  Dense diagnostic construction on the
+    Jordan-Wigner matrix, which is real for real tensors (every word has an
+    even number of Y letters); NumericalError above 5 orbitals.
     """
-    if 2 * t.n_orb > 8:
-        raise NumericalError("minimal_lcu limited to 8 spin-orbitals")
-    h = FockOperator(t).dense()
+    h = jordan_wigner(t).dense().real
     vals, vecs = np.linalg.eigh(h)
     e_min, e_max = float(vals[0]), float(vals[-1])
     delta = e_max - e_min
@@ -337,6 +283,6 @@ def minimal_lcu(t):
     scaled = (2.0 * vals - (e_max + e_min)) / delta
     scaled = np.clip(scaled, -1.0, 1.0)
     phases = scaled + 1j * np.sqrt(1.0 - scaled * scaled)
-    u_plus = (vecs * phases) @ vecs.conj().T
-    u_minus = (vecs * phases.conj()) @ vecs.conj().T
+    u_plus = (vecs * phases) @ vecs.T
+    u_minus = (vecs * phases.conj()) @ vecs.T
     return gamma, 0.25 * delta, u_plus, u_minus

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NumericalError, ParseError
 
 __all__ = [
     "SpatialTensors",
@@ -99,6 +99,8 @@ class FcidumpRecord:
         _check_eightfold(self.eri, "eri")
 
 
+_INTEGRAL_BYTES_LIMIT = 1 << 30  # memory the (NORB+1)^4 parse array may take
+
 _HEADER_INT = {
     "NORB": re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE),
     "NELEC": re.compile(r"NELEC\s*=\s*(\d+)", re.IGNORECASE),
@@ -113,7 +115,8 @@ def parse_fcidump(text):
     `value i j k l` with 1-based indices.  `i=j=k=l=0` holds the core energy,
     `k=l=0` a core-Hamiltonian entry, everything else an (ij|kl) integral
     whose permutational images are filled in; a later line overwrites an
-    earlier one.
+    earlier one.  Raises NumericalError, before reading the data, when the
+    (NORB+1)^4 integral array would exceed `_INTEGRAL_BYTES_LIMIT` (1 GiB).
     """
     lines = text.splitlines()
     data_start = None
@@ -132,6 +135,13 @@ def parse_fcidump(text):
             raise ParseError(f"header lacks {key}", line=1)
     n, n_elec = int(found["NORB"].group(1)), int(found["NELEC"].group(1))
     ms2 = int(found["MS2"].group(1)) if found["MS2"] else 0
+    size = 8 * (n + 1) ** 4
+    if size > _INTEGRAL_BYTES_LIMIT:
+        raise NumericalError(
+            f"NORB={n} needs a {size / 2**30:.2f} GiB integral array, above the "
+            f"{_INTEGRAL_BYTES_LIMIT / 2**30:.0f} GiB limit",
+            payload={"norb": n, "bytes": size},
+        )
 
     vals, idx = _read_data(lines[data_start:], data_start + 1, n)
     # a later line overwrites an earlier one: keep the last row of each orbit

@@ -9,10 +9,11 @@ words with their products and matrices, the Jordan-Wigner mapping as a
 word-by-word dict loop, the Majorana-operator route to Pauli words, the
 pairwise check and the dense reflection of an anticommuting group,
 sorted insertion as the term-by-term scan over every earlier term, the
-spectrum at a fixed electron number, the spectral range as Lanczos on
-every particle sector, the symmetry-shift problem as a
-linear program, the theta gradient of a rotation through scipy's
-Frechet derivative of the matrix exponential, and the count of
+spectrum at a fixed electron number, the signed permutation from a
+particle sector's blocked states to the interleaved Fock basis, the
+spectral range as Lanczos on every particle sector, the symmetry-shift
+problem as a linear program, the theta gradient of a rotation through
+scipy's Frechet derivative of the matrix exponential, and the count of
 reflection-pair products as a loop over the entries.
 """
 
@@ -25,7 +26,7 @@ from lcunorm.errors import NumericalError
 from lcunorm.fragments import _tril
 from lcunorm.grouping import AcGroup, AcPartition, _insertion_order, sorted_insertion
 from lcunorm.pauli import PRUNE_TOL, PauliPolynomial, _unpack
-from lcunorm.spectra import _Sector, _lanczos_extremes
+from lcunorm.spectra import _Sector, _lanczos_extremes, _sector_basis
 from lcunorm.symshift import weighted_median
 from lcunorm.tensors import SpatialTensors
 
@@ -665,6 +666,30 @@ def sector_spectrum(t, n_elec):
         raise ValueError(f"electron count {n_elec} outside [0, {2 * n}]")
     idx = [b for b in range(1 << (2 * n)) if b.bit_count() == n_elec]
     return np.linalg.eigvalsh(dense_hamiltonian(t)[np.ix_(idx, idx)])
+
+
+def sector_states(n, n_alpha, n_beta):
+    """(index, sign) of each state of `_Sector(t, n_alpha, n_beta)` in the
+    interleaved ordering: the Fock basis index (bit 2i + sigma for orbital i
+    and spin sigma) and the sign of reordering its blocked (alpha-then-beta)
+    creation string into the interleaved one, in the sector's vector order."""
+    masks_a, masks_b = _sector_basis(n, n_alpha), _sector_basis(n, n_beta)
+    idx, sgn = [], []
+    for mb in masks_b:
+        for ma in masks_a:
+            s = 0
+            for i in range(n):
+                if (ma >> i) & 1:
+                    s |= 1 << (2 * i)
+                if (mb >> i) & 1:
+                    s |= 1 << (2 * i + 1)
+            crossings = 0
+            for i in range(n):
+                if (mb >> i) & 1:
+                    crossings += (ma >> (i + 1)).bit_count()
+            idx.append(s)
+            sgn.append(-1.0 if crossings & 1 else 1.0)
+    return np.array(idx), np.array(sgn)
 
 
 def all_sector_range(t):

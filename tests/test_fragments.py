@@ -107,7 +107,7 @@ def test_df_empty_for_zero_tensor():
 @pytest.mark.parametrize("name", ["h2", "lih", "beh2", "h2o", "nh3"])
 def test_df_reconstructs_fixtures(name):
     t = to_chemist(load_fixture(name))
-    frags = double_factorize(t, tol=1e-12)
+    frags = double_factorize(t)
     recon = sum(fragment_tensor(f) for f in frags)
     rel = np.linalg.norm(recon - t.tbt) / np.linalg.norm(t.tbt)
     assert rel < 1e-10
@@ -118,19 +118,19 @@ def test_csa_exact_representability():
     lam = rng.standard_normal((3, 3))
     lam = lam + lam.T
     t = SpatialTensors(0.0, np.zeros((3, 3)), fragment_tensor(_diag_fragment(lam, 3)))
-    frags = csa_greedy(t, stop_tol=1e-6, seed=0)
+    frags = csa_greedy(t, seed=0)
     recon = sum(fragment_tensor(f) for f in frags)
     assert np.linalg.norm(recon - t.tbt) <= 1e-6
 
 
 def test_csa_zero_tensor():
     t = SpatialTensors(0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
-    assert csa_greedy(t, stop_tol=1e-6) == []
+    assert csa_greedy(t) == []
 
 
 def test_csa_h2_residual_and_monotone():
     t = to_chemist(load_fixture("h2"))
-    frags = csa_greedy(t, stop_tol=1e-6, seed=0)
+    frags = csa_greedy(t, seed=0)
     resid = t.tbt.copy()
     norms = [np.linalg.norm(resid)]
     for f in frags:
@@ -148,7 +148,7 @@ def test_csa_fails_fast_at_the_fragment_cap(monkeypatch):
     monkeypatch.setattr(fr, "_CSA_FRAGS_PER_ORBITAL", 1)
     lih = to_chemist(load_fixture("lih"))
     with pytest.raises(NumericalError, match="exceeded 6 fragments without reaching 1e-06") as exc:
-        csa_greedy(lih, stop_tol=1e-6, seed=0)
+        csa_greedy(lih, seed=0)
     assert exc.value.payload["n_fragments"] == 6
     assert exc.value.payload["residual"] > 1e-6
 
@@ -207,14 +207,14 @@ def test_csa_runs_one_fit_per_fragment(monkeypatch):
 
     monkeypatch.setattr(opt, "minimize", counting)
     t = random_spatial(4, np.random.default_rng(47))
-    frags = csa_greedy(t, stop_tol=1e-6, seed=0)
+    frags = csa_greedy(t, seed=0)
     assert len(frags) > 1
     assert len(calls) == len(frags)
 
 
 def test_csa_is_deterministic_per_seed():
     t = to_chemist(load_fixture("lih"))
-    runs = [fragments_to_json(csa_greedy(t, stop_tol=1e-3, seed=5)) for _ in range(2)]
+    runs = [fragments_to_json(csa_greedy(t, seed=5)) for _ in range(2)]
     assert runs[0] == runs[1]
 
 

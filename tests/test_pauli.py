@@ -15,11 +15,13 @@ from oracles import (
     majorana_to_pauli,
     n_terms_nonidentity,
     pauli_polynomial,
+    poly_from_terms,
     poly_matrix,
     random_spatial,
     random_spin2e,
 )
 
+from lcunorm.errors import NumericalError
 from lcunorm.pauli import jordan_wigner, lambda_pauli_closed_form
 from lcunorm.tensors import load_fixture, to_chemist
 
@@ -97,6 +99,22 @@ def test_jordan_wigner_h2_fixture():
     p = jordan_wigner(t)
     assert np.abs(poly_matrix(p) - dense_hamiltonian(t)).max() < 1e-10
     assert abs(lambda_pauli(p) - lambda_pauli_closed_form(t)) < 1e-10
+
+
+def test_dense_matches_word_matrices():
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        for _ in range(10):
+            k = int(rng.integers(1, 20))
+            masks = rng.integers(0, 1 << n, size=(k, 2))
+            p = poly_from_terms(n, {(int(x), int(z)): rng.normal() for x, z in masks})
+            assert np.abs(p.dense() - poly_matrix(p)).max() < 1e-12
+
+
+def test_dense_limit():
+    assert poly_from_terms(10, {(1, 1): 1.0}).dense().shape == (1024, 1024)
+    with pytest.raises(NumericalError, match="11 qubits exceeds the 10-qubit limit"):
+        poly_from_terms(11, {(1, 1): 1.0}).dense()
 
 
 def test_closed_form_matches_expansion():

@@ -162,6 +162,27 @@ def test_cache_round_trip(tmp_path):
     assert r2.methods["pauli"]["lambda"] == 123.0
 
 
+def test_interleaved_cache_writers_both_store(tmp_path, monkeypatch):
+    # a second writer of the same key stores its entry while the first is
+    # still writing; the first then stores its own over it
+    import lcunorm.pipeline as pl
+
+    cache = pl._Cache(str(tmp_path), pl.prepare("h2").tensors, 0)
+    dump, writers = json.dump, []
+
+    def interleaved(doc, fh, **kwargs):
+        writers.append(doc)
+        if len(writers) == 1:
+            assert cache.fetch("x", lambda: {"v": 2}) == {"v": 2}
+        dump(doc, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", interleaved)
+    assert cache.fetch("x", lambda: {"v": 1}) == {"v": 1}
+    assert writers == [{"v": 1}, {"v": 2}]
+    assert os.listdir(tmp_path) == [cache.key("x") + ".json"]
+    assert json.loads((tmp_path / (cache.key("x") + ".json")).read_text()) == {"v": 1}
+
+
 def test_cache_dir_from_environment(tmp_path, monkeypatch):
     d = str(tmp_path / "envcache")
     monkeypatch.setenv("LCUNORM_CACHE_DIR", d)

@@ -11,7 +11,6 @@ from scipy.linalg import eigh_tridiagonal
 from lcunorm import spectra
 from lcunorm.errors import NumericalError
 from lcunorm.spectra import (
-    FockOperator,
     SpectralRange,
     _Sector,
     _lanczos_extremes,
@@ -26,6 +25,7 @@ from oracles import (
     dense_hamiltonian,
     random_spatial,
     sector_spectrum,
+    sector_states,
 )
 
 
@@ -38,12 +38,25 @@ def sector_matrix(sec):
     return np.column_stack([sec.matvec(e) for e in np.eye(sec.dim)])
 
 
-def test_fock_operator_matches_oracle():
-    # every (na, nb) block's matvec against the oracle, na < nb included
+def _check_sectors_against_oracle(t):
+    # every (na, nb) block entrywise against the oracle's rows and columns of
+    # its states, na < nb included; the blocks cover the whole Fock space
+    n = t.n_orb
+    h = dense_hamiltonian(t)
+    seen = []
+    for na in range(n + 1):
+        for nb in range(n + 1):
+            idx, sgn = sector_states(n, na, nb)
+            block = sector_matrix(_Sector(t, na, nb))
+            assert np.max(np.abs(np.outer(sgn, sgn) * block - h[np.ix_(idx, idx)])) < 1e-10
+            seen.extend(idx)
+    assert sorted(seen) == list(range(1 << (2 * n)))
+
+
+def test_sector_blocks_match_oracle():
     rng = np.random.default_rng(0)
     for n in (1, 2, 3):
-        t = random_spatial(n, rng)
-        assert np.max(np.abs(FockOperator(t).dense() - dense_hamiltonian(t))) < 1e-10
+        _check_sectors_against_oracle(random_spatial(n, rng))
 
 
 def test_sector_operator_is_exact_for_any_two_body_tensor():
@@ -52,7 +65,7 @@ def test_sector_operator_is_exact_for_any_two_body_tensor():
     rng = np.random.default_rng(8)
     obt = rng.normal(size=(2, 2))
     t = SimpleNamespace(n_orb=2, e0=0.3, obt=obt + obt.T, tbt=rng.normal(size=(2,) * 4))
-    assert np.max(np.abs(FockOperator(t).dense() - dense_hamiltonian(t))) < 1e-10
+    _check_sectors_against_oracle(t)
 
 
 def test_spectral_range_matches_dense_oracle():
@@ -143,7 +156,7 @@ def test_minimal_lcu_reassembles_and_meets_bound():
 
 
 def test_minimal_lcu_size_limit():
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="16 qubits exceeds the 10-qubit limit"):
         minimal_lcu(chemist("nh3"))
 
 

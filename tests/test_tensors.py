@@ -1,5 +1,7 @@
 """Tensor data model and FCIDUMP round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (
@@ -11,7 +13,7 @@ from oracles import (
     random_spatial,
 )
 
-from lcunorm.errors import ParseError
+from lcunorm.errors import NumericalError, ParseError
 from lcunorm.tensors import (
     FIXTURE_NAMES,
     SpatialTensors,
@@ -80,6 +82,20 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_fcidump(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("norb", [107, 200])
+def test_oversized_norb_fails_before_allocating(norb):
+    # (NORB+1)^4 doubles: 1.01 GiB at NORB=107, the first size above 1 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=f"NORB={norb} needs a .* GiB") as err:
+            parse_fcidump(f"&FCI NORB={norb},NELEC=2\n&END\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.payload == {"norb": norb, "bytes": 8 * (norb + 1) ** 4}
+    assert peak < 1 << 20
 
 
 def test_later_lines_overwrite_earlier():
