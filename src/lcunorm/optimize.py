@@ -40,7 +40,8 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
 
     `f` returns (cost, gradient).  `jac` must be true (false raises
     ValueError); it stays so that wrappers which forward the call shape
-    (f, x0, tol_grad, jac) keep working.  Guarantees f(x*) <= f(x0).
+    (f, x0, tol_grad, jac) keep working.  Guarantees f(x*) <= f(x0), and
+    evaluates f at x0 once.
     A non-finite cost or gradient, at x0 or during the search, raises
     NumericalError carrying the offending iterate.
     """
@@ -57,11 +58,19 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
         return c, np.asarray(g, dtype=float)
 
     try:
-        f0 = checked(x0)[0]
+        f0, g0 = checked(x0)
         if x0.size == 0:  # nothing to search, e.g. the rotation of one orbital
             return x0, float(f0), 0
+        known = [(f0, g0)]
+
+        def fun(x):
+            # scipy's first call is at x0, whose values the guard already holds
+            if known and np.array_equal(x, x0):
+                return known.pop()
+            return checked(x)
+
         opts = {"gtol": tol_grad, "maxiter": MAX_ITERS}
-        res = scipy.optimize.minimize(checked, x0, jac=True, method="BFGS", options=opts)
+        res = scipy.optimize.minimize(fun, x0, jac=True, method="BFGS", options=opts)
     except _NonFinite as bad:
         raise NumericalError(
             "non-finite cost encountered during minimization",

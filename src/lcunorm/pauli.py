@@ -26,6 +26,7 @@ PRUNE_TOL = 1e-14
 MAX_QUBITS = 32  # each mask takes one half of a 64-bit key
 _DENSE_QUBITS = 10  # largest polynomial `dense` assembles: a 16 MiB matrix
 _HALF = np.uint64(MAX_QUBITS)
+_JW_BLOCK = 256  # nonzero (ij|kl) that jordan_wigner expands at a time
 _PHASES = np.array([1, 1j, -1, -1j])
 
 
@@ -96,7 +97,12 @@ def jordan_wigner(t):
     """Map chemist-form tensors to qubits.
 
     Returns a PauliPolynomial over 2N qubits whose dense matrix equals the
-    Fock-space matrix of the input.
+    Fock-space matrix of the input.  The two-body words are expanded
+    _JW_BLOCK nonzero integrals at a time, so the transient memory is bounded
+    by the block and the table of distinct words, not by the integral count.
+    Each word's coefficient is summed from 0.0 in one fixed order: the
+    identity, the one-body words, then the two-body words in C order of
+    (ij|kl), whatever the block size.
     """
     m = 2 * t.n_orb
     _check_qubits(m)
@@ -113,22 +119,45 @@ def jordan_wigner(t):
     p, q = (np.concatenate([2 * a, 2 * a + 1]) for a in (i, j))
     x, z, c = (a[p, q] for a in exc)
     one = (x, z, c * np.tile(t.obt[i, j], 2)[:, None])
+    ident = (np.zeros(1, np.uint64), np.zeros(1, np.uint64), np.array([t.e0 + 0j]))
+    keys, sums = _accumulate(np.zeros(0, np.uint64), np.zeros(0, complex), ident)
+    keys, sums = _accumulate(keys, sums, one)
 
-    idx = np.nonzero(np.abs(t.tbt) > PRUNE_TOL)
     # (ij|kl) acts on the spin pairs (s, s') = 00, 01, 10, 11: E^is_js E^ks'_ls'
     s, sp = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-    p, q, r, u = (2 * a[:, None] + b for a, b in zip(idx, (s, s, sp, sp)))
-    x, z, c = (a[p, q][..., None] for a in exc)
-    v = t.tbt[idx][:, None, None, None]
-    two = _product((x, z, c * v), tuple(a[r, u][..., None, :] for a in exc))
+    nonzero = np.flatnonzero(np.abs(t.tbt) > PRUNE_TOL)
+    for start in range(0, nonzero.size, _JW_BLOCK):
+        idx = np.unravel_index(nonzero[start : start + _JW_BLOCK], t.tbt.shape)
+        p, q, r, u = (2 * a[:, None] + b for a, b in zip(idx, (s, s, sp, sp)))
+        x, z, c = (a[p, q][..., None] for a in exc)
+        v = t.tbt[idx][:, None, None, None]
+        two = _product((x, z, c * v), tuple(a[r, u][..., None, :] for a in exc))
+        keys, sums = _accumulate(keys, sums, two)
 
-    ident = (np.zeros(1, np.uint64), np.zeros(1, np.uint64), np.array([t.e0 + 0j]))
-    x, z, c = (np.concatenate([np.ravel(w) for w in words]) for words in zip(ident, one, two))
-    keys, inverse = np.unique(x << _HALF | z, return_inverse=True)
-    worst = np.abs(np.bincount(inverse, weights=c.imag)).max()
+    worst = np.abs(sums.imag).max()
     if worst > 1e-10:
         raise ValueError(f"non-Hermitian accumulation: residual imag {worst:.3e}")
-    return PauliPolynomial(m, keys, np.bincount(inverse, weights=c.real))
+    return PauliPolynomial(m, keys, sums.real)
+
+
+def _accumulate(keys, sums, batch):
+    """Add a batch of words (x, z, c) to a sorted table of keys and running sums.
+
+    Words new to the table enter with sum 0.0, then np.add.at adds each
+    value to its word's sum in C order of the arrays: the additions that one
+    bincount over all the words would make.
+    """
+    x, z, c = (np.ravel(a) for a in batch)
+    words, inverse = np.unique(x << _HALF | z, return_inverse=True)
+    at = np.searchsorted(keys, words)
+    fresh = np.ones(words.size, dtype=bool)
+    inside = at < keys.size
+    fresh[inside] = keys[at[inside]] != words[inside]
+    keys = np.insert(keys, at[fresh], words[fresh])
+    sums = np.insert(sums, at[fresh], 0.0)
+    # a word's row moves down by the new words inserted before it
+    np.add.at(sums, (at + np.cumsum(fresh) - fresh)[inverse], c)
+    return keys, sums
 
 
 def lambda_pauli_closed_form(t):

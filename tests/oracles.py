@@ -6,7 +6,8 @@ index is the occupation of spin-orbital p = 2*i + sigma), Hamiltonians
 assembled by explicit loops.  Usable up to ~12 modes.  The rest is code
 that the library does not run: spin-resolved two-electron tensors, Pauli
 words with their products and matrices, the Jordan-Wigner mapping as a
-word-by-word dict loop, the Majorana-operator route to Pauli words, the
+word-by-word dict loop and as one all-at-once array expansion, the
+Majorana-operator route to Pauli words, the
 pairwise check and the dense reflection of an anticommuting group,
 sorted insertion as the term-by-term scan over every earlier term, the
 spectrum at a fixed electron number, the signed permutation from a
@@ -25,7 +26,7 @@ import scipy.linalg
 from lcunorm.errors import NumericalError
 from lcunorm.fragments import _tril
 from lcunorm.grouping import AcGroup, AcPartition, _insertion_order, sorted_insertion
-from lcunorm.pauli import PRUNE_TOL, PauliPolynomial, _unpack
+from lcunorm.pauli import _HALF, PRUNE_TOL, PauliPolynomial, _product, _unpack
 from lcunorm.spectra import _Sector, _lanczos_extremes, _sector_basis
 from lcunorm.symshift import weighted_median
 from lcunorm.tensors import SpatialTensors
@@ -421,6 +422,42 @@ def jordan_wigner_loop(t):
     if worst > 1e-10:
         raise ValueError(f"non-Hermitian accumulation: residual imag {worst:.3e}")
     return poly_from_terms(m, {key: c.real for key, c in acc.items()})
+
+
+def jordan_wigner_at_once(t):
+    """The array Jordan-Wigner mapping with every word product formed at once.
+
+    All 64 words of every nonzero (ij|kl) are formed together, then one
+    np.unique and one np.bincount sum them: the reference for the library's
+    block-wise expansion, which must give the same keys and coefficient bits.
+    """
+    m = 2 * t.n_orb
+    bit = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    x = np.stack([bit, bit], axis=1)
+    z = np.stack([bit - 1, (bit - 1) | bit], axis=1)
+    up = (x[:, None, :, None], z[:, None, :, None], np.array([0.5, -0.5j])[:, None])
+    down = (x[None, :, None, :], z[None, :, None, :], np.array([0.5, 0.5j]))
+    exc = [a.reshape(m, m, 4) for a in np.broadcast_arrays(*_product(up, down))]
+
+    i, j = np.nonzero(np.abs(t.obt) > PRUNE_TOL)
+    p, q = (np.concatenate([2 * a, 2 * a + 1]) for a in (i, j))
+    x, z, c = (a[p, q] for a in exc)
+    one = (x, z, c * np.tile(t.obt[i, j], 2)[:, None])
+
+    idx = np.nonzero(np.abs(t.tbt) > PRUNE_TOL)
+    s, sp = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    p, q, r, u = (2 * a[:, None] + b for a, b in zip(idx, (s, s, sp, sp)))
+    x, z, c = (a[p, q][..., None] for a in exc)
+    v = t.tbt[idx][:, None, None, None]
+    two = _product((x, z, c * v), tuple(a[r, u][..., None, :] for a in exc))
+
+    ident = (np.zeros(1, np.uint64), np.zeros(1, np.uint64), np.array([t.e0 + 0j]))
+    x, z, c = (np.concatenate([np.ravel(w) for w in words]) for words in zip(ident, one, two))
+    keys, inverse = np.unique(x << _HALF | z, return_inverse=True)
+    worst = np.abs(np.bincount(inverse, weights=c.imag)).max()
+    if worst > 1e-10:
+        raise ValueError(f"non-Hermitian accumulation: residual imag {worst:.3e}")
+    return PauliPolynomial(m, keys, np.bincount(inverse, weights=c.real))
 
 
 # ---- Majorana algebra: a second route from tensors to Pauli words ---------

@@ -5,7 +5,7 @@ import pytest
 from oracles import random_spatial
 
 from lcunorm.errors import NumericalError
-from lcunorm.optimize import minimize, oo_pauli
+from lcunorm.optimize import MAX_ITERS, TOL_GRAD, minimize, oo_pauli
 from lcunorm.pauli import lambda_pauli_closed_form
 from lcunorm.tensors import load_fixture, to_chemist
 
@@ -44,6 +44,24 @@ def test_never_worse_than_start():
     # start at the minimum of a flat-bottomed cost; result must not regress
     x, f, _ = minimize(lambda x: (float(abs(x[0]) + 1.0), np.sign(x)), np.zeros(1))
     assert f <= 1.0
+
+
+def test_start_is_evaluated_once():
+    import scipy.optimize
+
+    def rosenbrock(x):
+        cost = float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+        dx1 = 200.0 * (x[1] - x[0] ** 2)
+        return cost, np.array([-2.0 * x[0] * dx1 - 2.0 * (1.0 - x[0]), dx1])
+
+    x0 = np.array([-1.2, 1.0])
+    calls = []
+    x, f, nit = minimize(lambda x: (calls.append(x.copy()), rosenbrock(x))[1], x0)
+    assert sum(np.array_equal(c, x0) for c in calls) == 1
+    # scipy sees the same values at x0, so it takes the same steps
+    opts = {"gtol": TOL_GRAD, "maxiter": MAX_ITERS}
+    res = scipy.optimize.minimize(rosenbrock, x0, jac=True, method="BFGS", options=opts)
+    assert np.array_equal(x, res.x) and f == res.fun and nit == res.nit
 
 
 def test_non_finite_cost_raises():

@@ -1,5 +1,8 @@
 """Pauli word algebra, Jordan-Wigner mapping, and the Majorana route of the oracles."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from oracles import (
@@ -10,6 +13,7 @@ from oracles import (
     dense_hamiltonian,
     dumps,
     identity_coefficient,
+    jordan_wigner_at_once,
     lambda_pauli,
     majorana_separate,
     majorana_to_pauli,
@@ -21,6 +25,7 @@ from oracles import (
     random_spin2e,
 )
 
+from lcunorm import pauli
 from lcunorm.errors import NumericalError
 from lcunorm.pauli import jordan_wigner, lambda_pauli_closed_form
 from lcunorm.tensors import load_fixture, to_chemist
@@ -99,6 +104,59 @@ def test_jordan_wigner_h2_fixture():
     p = jordan_wigner(t)
     assert np.abs(poly_matrix(p) - dense_hamiltonian(t)).max() < 1e-10
     assert abs(lambda_pauli(p) - lambda_pauli_closed_form(t)) < 1e-10
+
+
+def _assert_bit_identical(got, want):
+    assert got.n_qubits == want.n_qubits
+    assert np.array_equal(got.keys, want.keys)
+    assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+
+@pytest.mark.parametrize("variant", ["raw", "shifted", "residual"])
+@pytest.mark.parametrize("molecule", ["h2", "lih", "beh2", "h2o", "nh3"])
+def test_blocks_match_the_at_once_expansion(runner, molecule, variant):
+    # in the input orbitals and in the cached OO-optimal ones
+    engine = runner.engine(molecule, variant)
+    for optimized in (False, True):
+        t, poly = engine.frame(optimized)
+        _assert_bit_identical(poly, jordan_wigner_at_once(t))
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_blocks_match_the_at_once_expansion_on_random_tensors(monkeypatch, block):
+    # blocks of 1 and 3 integrals split the conjugate pairs of (ij|kl), whose
+    # imaginary parts cancel: a Hermiticity check per block would raise here
+    monkeypatch.setattr(pauli, "_JW_BLOCK", block)
+    rng = np.random.default_rng(43)
+    for n in range(1, 7):
+        t = random_spatial(n, rng)
+        _assert_bit_identical(jordan_wigner(t), jordan_wigner_at_once(t))
+    t = t.replace(tbt=np.zeros_like(t.tbt))
+    _assert_bit_identical(jordan_wigner(t), jordan_wigner_at_once(t))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_jordan_wigner_transient_memory_is_bounded(runner):
+    # the all-at-once expansion peaks at 29 MiB and 147 MiB on these inputs
+    t = runner.prepared("nh3", "residual").tensors
+    assert _traced_peak(jordan_wigner, t) <= 8 * 2**20
+    t = random_spatial(12, np.random.default_rng(47))
+    assert _traced_peak(jordan_wigner, t) <= 16 * 2**20
+
+
+def test_non_hermitian_input_raises():
+    obt = np.array([[0.0, 1.0], [-1.0, 0.0]]) + np.eye(2)
+    t = SimpleNamespace(n_orb=2, e0=0.0, obt=obt, tbt=np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="non-Hermitian accumulation"):
+        jordan_wigner(t)
 
 
 def test_dense_matches_word_matrices():
