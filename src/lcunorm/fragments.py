@@ -133,19 +133,16 @@ class DfFragment:
 
 @dataclass
 class CsaFragment:
-    """Unrestricted-rank fragment lam_ij; mu present only for one-body/H0 use."""
+    """Unrestricted-rank fragment lam_ij."""
 
     rotation: OrbitalRotation
     lam: np.ndarray
-    mu: np.ndarray | None = None
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
         if np.abs(self.lam - self.lam.T).max() > 1e-12 * max(1.0, np.abs(self.lam).max()):
             raise ValueError("lam must be symmetric")
         self.lam = 0.5 * (self.lam + self.lam.T)
-        if self.mu is not None:
-            self.mu = np.asarray(self.mu, dtype=float)
 
 
 def fragment_lambda_matrix(f):
@@ -190,64 +187,52 @@ def double_factorize(t):
     return frags
 
 
-def _pack_dim(n):
-    return n * (n + 1) // 2
-
-
-@lru_cache(maxsize=None)
-def _pack_weights(n):
-    """Weight of each packed lam entry in the full matrix: 1 on the diagonal, 2 off it."""
-    rows, cols = _tril(n)
-    weights = np.where(rows == cols, 1.0, 2.0)
-    weights.flags.writeable = False
-    return weights
-
-
-def _fit_params(x, n):
-    """(theta, mu, lam) of a split fit vector; lam is stored packed (lower triangle)."""
-    nt = theta_dim(n)
-    lam = np.zeros((n, n))
-    rows, cols = _tril(n)
-    lam[rows, cols] = lam[cols, rows] = x[nt + n :]
-    return x[:nt], x[nt : nt + n], lam
-
-
 def _pair_columns(u):
     """The n^2 x n matrix W with columns vec(u_a u_a^T); they are orthonormal."""
     n = u.shape[0]
     return np.einsum("ia,ja->ija", u, u).reshape(n * n, n)
 
 
-def _fragment_fit(x, tbt, obt=None):
+def _fragment_fit(theta, tbt, obt=None):
     """Squared Frobenius misfit of one orbital-rotated fragment, and its gradient.
 
     The fragment is the two-body tensor W lam W^T (W = _pair_columns(u),
-    u = expm(a(theta))).  Greedy CSA passes x = theta alone: for a fixed u
-    the best lam is the projection W^T tbt W, where the lam gradient
-    vanishes, so the gradient is the u-gradient at that lam.  The
-    interaction-picture split passes x = (theta, mu, lam) with obt, and the
-    one-body matrix u diag(mu) u^T is fitted jointly to obt.
+    u = expm(a(theta))) with lam the projection W^T tbt W.  With obt, the
+    one-body matrix u diag(mu) u^T, mu = diag(u^T obt u), is fitted to obt
+    too (the interaction-picture split).  At these projections the lam and
+    mu gradients vanish, so the theta-gradient is the whole gradient:
+    greedy CSA and the split search over theta alone.
     """
     n = tbt.shape[0]
-    u, eig = _expm_antisym(_antisymmetric(x[: theta_dim(n)], n))
+    u, eig = _expm_antisym(_antisymmetric(theta, n))
     w = _pair_columns(u)
     g = tbt.reshape(n * n, n * n)
     tw = g @ w
-    mu, lam = (None, w.T @ tw) if obt is None else _fit_params(x, n)[1:]
+    lam = w.T @ tw
     # formed directly: |tbt|^2 - |lam|^2 cancels when the fragment explains tbt
     diff = w @ lam @ w.T - g
     cost = (diff * diff).sum()
     # (W lam W^T - tbt) W = W lam - tbt W, since W^T W = 1
     dw = w @ lam - tw
     gu = 8.0 * np.einsum("ija,ja->ia", (dw @ lam).reshape(n, n, n), u)
-    if obt is None:
-        return float(cost), _theta_grad(eig, gu)
-    da = (u * mu) @ u.T - obt
-    cost = (da * da).sum() + cost
-    gmu = 2.0 * np.einsum("ia,ij,ja->a", u, da, u)
-    glam = 2.0 * _pack_weights(n) * (w.T @ dw)[_tril(n)]
-    gu = gu + 4.0 * da @ (u * mu)
-    return float(cost), np.concatenate([_theta_grad(eig, gu), gmu, glam])
+    if obt is not None:
+        mu = _one_body_projection(u, obt)
+        da = (u * mu) @ u.T - obt
+        cost = (da * da).sum() + cost
+        gu = gu + 4.0 * da @ (u * mu)
+    return float(cost), _theta_grad(eig, gu)
+
+
+def _projected_fragment(rot, tbt):
+    """The fragment in the frame rot that best fits tbt: lam = W^T tbt W."""
+    n = tbt.shape[0]
+    w = _pair_columns(rot.u)
+    return CsaFragment(rot, w.T @ tbt.reshape(n * n, n * n) @ w)
+
+
+def _one_body_projection(u, obt):
+    """mu = diag(u^T obt u): the best u diag(mu) u^T fit of obt for this u."""
+    return np.einsum("ia,ij,ja->a", u, obt, u)
 
 
 def _theta_grad(eig, gu):
@@ -336,9 +321,7 @@ def csa_greedy(t, seed=0):
                 f"CSA stagnated at fragment {len(frags)}: residual {rnorm:.3e}",
                 payload={"residual": rnorm, "n_fragments": len(frags)},
             )
-        rot = make_rotation(x)
-        w = _pair_columns(rot.u)
-        frag = CsaFragment(rot, w.T @ target.reshape(n * n, n * n) @ w)
+        frag = _projected_fragment(make_rotation(x), target)
         target -= fragment_tensor(frag)
         frags.append(frag)
 
@@ -398,14 +381,10 @@ def reflection_term_count(lam, cutoff):
 
 
 def fragments_to_json(frags):
-    """CSA fragments as JSON: rotation amplitudes, lam and, when set, mu."""
-    docs = []
-    for f in frags:
-        doc = {"kind": "csa", "theta": f.rotation.theta.tolist(), "lam": f.lam.tolist()}
-        if f.mu is not None:
-            doc["mu"] = f.mu.tolist()
-        docs.append(doc)
-    return json.dumps(docs)
+    """CSA fragments as JSON: rotation amplitudes and lam."""
+    return json.dumps(
+        [{"kind": "csa", "theta": f.rotation.theta.tolist(), "lam": f.lam.tolist()} for f in frags]
+    )
 
 
 def fragments_from_json(text):
@@ -413,7 +392,5 @@ def fragments_from_json(text):
     for doc in json.loads(text):
         if doc["kind"] != "csa":
             raise ValueError(f"unknown fragment kind {doc['kind']!r}")
-        rot = make_rotation(np.asarray(doc["theta"]))
-        mu = np.asarray(doc["mu"]) if "mu" in doc else None
-        frags.append(CsaFragment(rot, np.asarray(doc["lam"]), mu))
+        frags.append(CsaFragment(make_rotation(np.asarray(doc["theta"])), np.asarray(doc["lam"])))
     return frags

@@ -29,10 +29,10 @@ class _NonFinite(Exception):
     """Raised with the iterate at which the cost or gradient is not finite."""
 
 
-def _starts(x_base, seed):
-    """x_base and RESTARTS seeded perturbations of it, each entry in +-0.05."""
+def _starts(x_base, seed, width):
+    """x_base and RESTARTS seeded perturbations of it, each entry in +-width."""
     rng = np.random.default_rng(seed)
-    return [x_base] + [x_base + rng.uniform(-0.05, 0.05, x_base.size) for _ in range(RESTARTS)]
+    return [x_base] + [x_base + rng.uniform(-width, width, x_base.size) for _ in range(RESTARTS)]
 
 
 def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
@@ -106,7 +106,8 @@ def _oo_cost(theta, t, width=0.0):
 def oo_pauli(t, seed=0):
     """Minimize the closed-form Pauli 1-norm over orbital rotations.
 
-    Starts from theta = 0 plus RESTARTS seeded perturbations (_starts).
+    Starts from theta = 0 plus RESTARTS seeded perturbations within +-0.05
+    (_starts).
     From each start it runs two searches on the analytic (sub)gradient:
     the exact closed form, and the pseudo-Huber surrogate
     |x| -> sqrt(x^2 + w^2) - w (w = 1e-2), which has no kinks, followed by
@@ -119,7 +120,7 @@ def oo_pauli(t, seed=0):
     """
     k = theta_dim(t.n_orb)
     best_x, best_f = None, np.inf
-    for x0 in _starts(np.zeros(k), seed):
+    for x0 in _starts(np.zeros(k), seed, 0.05):
         for width in _OO_WIDTHS:
             x = x0
             if width != 0.0:

@@ -280,11 +280,12 @@ def _resolve_source(source):
 
 
 def _cached_split(t, seed, cache_dir):
-    """Mean-field split of the tensors, disk-cached on the pre-split tensors."""
+    """Mean-field split of the tensors, disk-cached on the pre-split tensors;
+    the entry holds H0's frame theta, which fixes the split (PictureSplit.at)."""
     doc = _Cache(cache_dir, t, seed).fetch(
-        "split", lambda: {"h0": fragments_to_json([split_interaction(t, seed).h0])}
+        "split", lambda: {"theta": split_interaction(t, seed).h0.rotation.theta.tolist()}
     )
-    return PictureSplit.of(t, fragments_from_json(doc["h0"])[0])
+    return PictureSplit.at(t, np.asarray(doc["theta"]))
 
 
 @dataclass

@@ -9,8 +9,9 @@ words with their products and matrices, the Jordan-Wigner mapping as a
 word-by-word dict loop and as one all-at-once array expansion, the
 Majorana-operator route to Pauli words, the
 pairwise check and the dense reflection of an anticommuting group,
-sorted insertion as the term-by-term scan over every earlier term, the
-spectrum at a fixed electron number, the signed permutation from a
+sorted insertion as the term-by-term scan over every earlier term,
+symmetric last-bit noise on a two-electron tensor, the spectrum at a fixed
+electron number, the signed permutation from a
 particle sector's blocked states to the interleaved Fock basis, the
 spectral range as Lanczos on every particle sector, the symmetry-shift
 problem as a linear program, the theta gradient of a rotation through
@@ -188,6 +189,16 @@ def symmetrize_eightfold(raw):
     ):
         g += raw.transpose(perm)
     return g / 8.0
+
+
+_EIGHTFOLD = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
+_EIGHTFOLD += [(p[2], p[3], p[0], p[1]) for p in _EIGHTFOLD]
+
+
+def last_bit_noise(t, rng):
+    """t with 1e-15 relative noise on tbt that keeps its 8-fold symmetry."""
+    r = sum(rng.normal(size=t.tbt.shape).transpose(p) for p in _EIGHTFOLD) / 8.0
+    return t.replace(tbt=t.tbt * (1.0 + 1e-15 * r))
 
 
 def random_spatial(n, rng, scale=1.0):

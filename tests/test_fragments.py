@@ -12,7 +12,6 @@ from lcunorm.fragments import (
     OrbitalRotation,
     _df_start,
     _fragment_fit,
-    _pack_dim,
     _pair_columns,
     csa_greedy,
     double_factorize,
@@ -220,13 +219,13 @@ def test_csa_is_deterministic_per_seed():
 
 @pytest.mark.parametrize("with_obt", [False, True], ids=["csa", "split"])
 def test_fragment_fit_gradient_matches_finite_differences(with_obt):
-    # the CSA layout (theta alone, lam projected) fits the two-body tensor;
-    # the split layout (theta, mu, lam) fits the one-body matrix too
+    # theta alone in both: CSA fits the two-body tensor with lam projected;
+    # the split fits the one-body matrix too, with mu projected
     rng = np.random.default_rng(23)
     n = 3
     t = random_spatial(n, rng)
     obt = t.obt if with_obt else None
-    dim = theta_dim(n) + (n + _pack_dim(n) if with_obt else 0)
+    dim = theta_dim(n)
     h = 1e-5
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, size=dim)
@@ -318,13 +317,12 @@ def test_fragment_json_round_trip():
     rot = make_rotation(rng.standard_normal(theta_dim(3)))
     lam = rng.standard_normal((3, 3))
     lam = lam + lam.T
-    frags = [CsaFragment(rot, lam, mu=rng.standard_normal(3)), CsaFragment(rot, lam)]
+    frags = [CsaFragment(rot, lam), CsaFragment(make_rotation(np.zeros(theta_dim(3))), -lam)]
     back = fragments_from_json(fragments_to_json(frags))
     assert len(back) == 2
     for f, g in zip(frags, back):
         assert np.abs(fragment_tensor(f) - fragment_tensor(g)).max() < 1e-12
         assert np.abs(fragment_lambda_matrix(f) - fragment_lambda_matrix(g)).max() < 1e-12
-    assert back[0].mu is not None and back[1].mu is None
 
 
 def test_sqrt_refuses_large_n():
