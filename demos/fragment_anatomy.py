@@ -13,7 +13,6 @@ import numpy as np
 from lcunorm import (
     csa_greedy,
     double_factorize,
-    fragment_lambda_matrix,
     fragment_tensor,
     lambda_complete_square,
     lambda_fermionic,
@@ -41,8 +40,7 @@ for label, frags in (
     if label.startswith("double"):
         cs = sum(lambda_complete_square(f) for f in frags)
         print(f"  complete-square two-body cost      : {cs:.4f}")
-    top = max(frags, key=lambda f: np.abs(fragment_lambda_matrix(f)).sum())
-    lam = fragment_lambda_matrix(top)
+    lam = max((f.lam for f in frags), key=lambda lam: np.abs(lam).sum())
     print(f"  largest fragment |lam| sum {np.abs(lam).sum():.4f}, rank {np.linalg.matrix_rank(lam, tol=1e-10)}")
     print()
 

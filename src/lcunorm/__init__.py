@@ -8,12 +8,9 @@ CSA's DF start.
 
 from .errors import NumericalError, ParseError
 from .fragments import (
-    CsaFragment,
-    DfFragment,
-    OrbitalRotation,
+    Fragment,
     csa_greedy,
     double_factorize,
-    fragment_lambda_matrix,
     fragment_tensor,
     fragments_from_json,
     fragments_to_json,

@@ -1,11 +1,14 @@
 """Low-rank fragment decompositions of the two-electron tensor.
 
-A fragment is an orbital-rotated polynomial of occupation-number operators:
-its two-body tensor is sum_ab u_ia u_ja u_kb u_lb lam_ab.  Double
-factorization produces rank-1 lam = sign * (eps outer eps) fragments from an
-eigendecomposition; greedy CSA fits unrestricted lam matrices one at a time.
-Fragment-level 1-norm costings (fermionic reflections, square-root
-unitarization, complete-square) live here too.
+A fragment is an orbital frame u (an orthogonal matrix) and a symmetric
+pair matrix lam: the occupation-number polynomial sum_ab lam_ab n_a n_b in
+that frame, whose two-body tensor is sum_ab u_ia u_ja u_kb u_lb lam_ab.
+Double factorization produces the rank-1 case lam = sign * (eps outer eps)
+from an eigendecomposition; greedy CSA fits unrestricted lam one fragment
+at a time.  A rotation is its matrix: make_rotation(theta) is expm of the
+antisymmetric generator theta_(i>j).  Fragment-level 1-norm costings
+(fermionic reflections, square-root unitarization, complete-square) live
+here too.
 """
 
 import json
@@ -18,14 +21,11 @@ from .errors import NumericalError
 from .tensors import SpatialTensors
 
 __all__ = [
-    "OrbitalRotation",
-    "DfFragment",
-    "CsaFragment",
+    "Fragment",
     "make_rotation",
     "rotate_tensors",
     "double_factorize",
     "csa_greedy",
-    "fragment_lambda_matrix",
     "fragment_tensor",
     "lambda_fermionic",
     "lambda_sqrt_fragment",
@@ -72,35 +72,25 @@ def _expm_antisym(a):
     return np.ascontiguousarray(u.real), (w, v)
 
 
-@dataclass
-class OrbitalRotation:
-    """Orbital-rotation generator amplitudes theta_(i>j) and the cached exponential."""
-
-    theta: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        n = self.u.shape[0]
-        if np.abs(self.u.T @ self.u - np.eye(n)).max() > 1e-10:
-            raise ValueError("rotation matrix is not orthogonal to 1e-10")
-        if abs(np.linalg.det(self.u) - 1.0) > 1e-8:
-            raise ValueError("rotation matrix must have determinant +1")
-
-
 def make_rotation(theta):
+    """The orthogonal matrix expm(a) of the generator with a_ij = theta_(i>j) = -a_ji."""
     theta = np.asarray(theta, dtype=float)
-    n = _n_from_theta(theta.size)
-    return OrbitalRotation(theta, _expm_antisym(_antisymmetric(theta, n))[0])
+    return _expm_antisym(_antisymmetric(theta, _n_from_theta(theta.size)))[0]
 
 
-def rotate_tensors(r, t):
-    """Conjugate the Hamiltonian by the orbital rotation: u h u^T on one body,
-    u on every index of the two-body tensor.  Fock spectrum is preserved."""
-    if r.u.shape[0] != t.n_orb:
+def rotate_tensors(u, t):
+    """Conjugate the Hamiltonian by the orbital rotation u: u h u^T on one
+    body, u on every index of the two-body tensor.  Fock spectrum is
+    preserved."""
+    u = np.asarray(u, dtype=float)
+    n = t.n_orb
+    if u.shape != (n, n):
         raise ValueError("rotation dimension does not match tensors")
-    obt, tbt, _ = _rotate(r.u, t.obt, t.tbt)
+    if np.abs(u.T @ u - np.eye(n)).max() > 1e-10:
+        raise ValueError("rotation matrix is not orthogonal to 1e-10")
+    if abs(np.linalg.det(u) - 1.0) > 1e-8:
+        raise ValueError("rotation matrix must have determinant +1")
+    obt, tbt, _ = _rotate(u, t.obt, t.tbt)
     return SpatialTensors(t.e0, obt, tbt)
 
 
@@ -118,45 +108,24 @@ def _rotate(u, obt, tbt):
 
 
 @dataclass
-class DfFragment:
-    """Rank-1 fragment: lam = sign * (eps outer eps) in the orthonormal basis u."""
+class Fragment:
+    """The polynomial sum_ab lam_ab n_a n_b in the orbital frame u."""
 
     u: np.ndarray
-    eps: np.ndarray
-    sign: float
-
-    def __post_init__(self):
-        self.eps = np.asarray(self.eps, dtype=float)
-        if self.sign not in (-1.0, 1.0):
-            raise ValueError("sign must be +1 or -1")
-
-
-@dataclass
-class CsaFragment:
-    """Unrestricted-rank fragment lam_ij."""
-
-    rotation: OrbitalRotation
     lam: np.ndarray
 
     def __post_init__(self):
+        self.u = np.asarray(self.u, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
         if np.abs(self.lam - self.lam.T).max() > 1e-12 * max(1.0, np.abs(self.lam).max()):
             raise ValueError("lam must be symmetric")
         self.lam = 0.5 * (self.lam + self.lam.T)
 
 
-def fragment_lambda_matrix(f):
-    if isinstance(f, DfFragment):
-        return f.sign * np.outer(f.eps, f.eps)
-    return f.lam
-
-
 def fragment_tensor(f):
     """Two-body tensor sum_ab u_ia u_ja u_kb u_lb lam_ab of one fragment."""
-    u = f.u if isinstance(f, DfFragment) else f.rotation.u
-    lam = fragment_lambda_matrix(f)
-    w = np.einsum("ia,ja->ija", u, u)
-    return np.einsum("ija,klb,ab->ijkl", w, w, lam, optimize=True)
+    w = np.einsum("ia,ja->ija", f.u, f.u)
+    return np.einsum("ija,klb,ab->ijkl", w, w, f.lam, optimize=True)
 
 
 DF_TOL = 1e-12  # DF drops eigenvalues of at most this magnitude
@@ -166,8 +135,8 @@ def double_factorize(t):
     """Eigendecomposition of the N^2 x N^2 two-electron matrix into rank-1 fragments.
 
     Fragments are emitted in order of decreasing eigenvalue magnitude,
-    those with |w| <= DF_TOL dropped; each carries eps_i = sqrt(|w|) d_i
-    with L = u diag(d) u^T the reshaped eigenvector and sign = sign(w).
+    those with |w| <= DF_TOL dropped; each has lam = sign(w) (eps outer eps),
+    eps_i = sqrt(|w|) d_i, with L = u diag(d) u^T the reshaped eigenvector.
     Negative eigenvalues appear after symmetry shifts.
     """
     n = t.n_orb
@@ -183,7 +152,8 @@ def double_factorize(t):
         ell = v[:, k].reshape(n, n)
         ell = 0.5 * (ell + ell.T)
         d, u = np.linalg.eigh(ell)
-        frags.append(DfFragment(u, np.sqrt(abs(w[k])) * d, float(np.sign(w[k]))))
+        eps = np.sqrt(abs(w[k])) * d
+        frags.append(Fragment(u, np.sign(w[k]) * np.outer(eps, eps)))
     return frags
 
 
@@ -223,11 +193,11 @@ def _fragment_fit(theta, tbt, obt=None):
     return float(cost), _theta_grad(eig, gu)
 
 
-def _projected_fragment(rot, tbt):
-    """The fragment in the frame rot that best fits tbt: lam = W^T tbt W."""
+def _projected_fragment(u, tbt):
+    """The fragment in the frame u that best fits tbt: lam = W^T tbt W."""
     n = tbt.shape[0]
-    w = _pair_columns(rot.u)
-    return CsaFragment(rot, w.T @ tbt.reshape(n * n, n * n) @ w)
+    w = _pair_columns(u)
+    return Fragment(u, w.T @ tbt.reshape(n * n, n * n) @ w)
 
 
 def _one_body_projection(u, obt):
@@ -331,8 +301,7 @@ def lambda_fermionic(mu, frags):
     l1 = float(np.abs(np.asarray(mu, dtype=float)).sum())
     l2 = 0.0
     for f in frags:
-        lam = fragment_lambda_matrix(f)
-        l2 += float(np.abs(lam).sum() - 0.5 * np.abs(np.diag(lam)).sum())
+        l2 += float(np.abs(f.lam).sum() - 0.5 * np.abs(np.diag(f.lam)).sum())
     return l1, l2
 
 
@@ -343,7 +312,7 @@ def lambda_sqrt_fragment(f):
     (1/4)(sum_ij lam_ij R_i R_j - 2 sum_i lam_ii) over R in {-2,0,2}^N,
     which is rotation invariant.  The 3^N grid is enumerated in batches.
     """
-    lam = fragment_lambda_matrix(f)
+    lam = f.lam
     n = lam.shape[0]
     if n > 16:
         raise NumericalError(f"configuration enumeration infeasible for N = {n}")
@@ -366,8 +335,10 @@ def lambda_sqrt_fragment(f):
 
 
 def lambda_complete_square(f):
-    """Chebyshev complete-square cost (sum_i |eps_i|)^2 / 2 of a rank-1 fragment."""
-    return float(0.5 * np.abs(f.eps).sum() ** 2)
+    """Chebyshev complete-square cost (sum_i |eps_i|)^2 / 2 of a rank-1
+    fragment, lam = +-(eps outer eps).  |eps_i| = sqrt(|lam_ii|) bit for bit:
+    a correctly rounded square root returns |x| from fl(x * x)."""
+    return float(0.5 * np.sqrt(np.abs(np.diag(f.lam))).sum() ** 2)
 
 
 def reflection_term_count(lam, cutoff):
@@ -381,16 +352,9 @@ def reflection_term_count(lam, cutoff):
 
 
 def fragments_to_json(frags):
-    """CSA fragments as JSON: rotation amplitudes and lam."""
-    return json.dumps(
-        [{"kind": "csa", "theta": f.rotation.theta.tolist(), "lam": f.lam.tolist()} for f in frags]
-    )
+    """Fragments as JSON: each frame u and its lam."""
+    return json.dumps([{"u": f.u.tolist(), "lam": f.lam.tolist()} for f in frags])
 
 
 def fragments_from_json(text):
-    frags = []
-    for doc in json.loads(text):
-        if doc["kind"] != "csa":
-            raise ValueError(f"unknown fragment kind {doc['kind']!r}")
-        frags.append(CsaFragment(make_rotation(np.asarray(doc["theta"])), np.asarray(doc["lam"])))
-    return frags
+    return [Fragment(np.asarray(d["u"]), np.asarray(d["lam"])) for d in json.loads(text)]

@@ -1,11 +1,11 @@
 """Interaction-picture split: peel off a mean-field piece before costing.
 
-H0 is one orbital frame (theta) holding occupation-number content only: a
-one-body part with eigenvalues mu and a symmetric pair-coefficient matrix
-lam, both projections of the tensors onto the frame (_fragment_fit).  So
-H0 is a function of theta and the tensors, and the fit searches theta
-alone, as greedy CSA does.  Subtracting H0 leaves a residual Hamiltonian
-whose 1-norms are what a propagator in the rotating frame of H0 pays for.
+H0 is one orbital frame u = make_rotation(theta) holding occupation-number
+content only: a one-body part with eigenvalues mu and a fragment (u, lam),
+both projections of the tensors onto the frame (_fragment_fit).  So H0 is
+a function of theta and the tensors, and the fit searches theta alone, as
+greedy CSA does.  Subtracting H0 leaves a residual Hamiltonian whose
+1-norms are what a propagator in the rotating frame of H0 pays for.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fragments import (
-    CsaFragment,
+    Fragment,
     _fragment_fit,
     _one_body_projection,
     _projected_fragment,
@@ -38,11 +38,12 @@ _SPLIT_TIE = 1e-6
 
 @dataclass
 class PictureSplit:
-    """H0 (two-body fragment h0, one-body eigenvalues mu in h0's frame), the
-    residual, and its norm sqrt(|obt - obt0|^2 + |tbt - tbt0|^2), which the
-    fit minimizes."""
+    """H0 (its frame theta, two-body fragment h0 in that frame, one-body
+    eigenvalues mu there), the residual, and its norm
+    sqrt(|obt - obt0|^2 + |tbt - tbt0|^2), which the fit minimizes."""
 
-    h0: CsaFragment
+    theta: np.ndarray
+    h0: Fragment
     mu: np.ndarray
     residual: SpatialTensors
     fit_residual_norm: float
@@ -50,12 +51,13 @@ class PictureSplit:
     @classmethod
     def at(cls, t, theta):
         """The split of tensors t by the mean-field part in the frame theta."""
+        theta = np.asarray(theta, dtype=float)
         h0 = _projected_fragment(make_rotation(theta), t.tbt)
-        mu = _one_body_projection(h0.rotation.u, t.obt)
+        mu = _one_body_projection(h0.u, t.obt)
         obt0, tbt0 = _h0_tensors(h0, mu)
         residual = t.replace(obt=t.obt - obt0, tbt=t.tbt - tbt0)
         misfit = float(np.hypot(np.linalg.norm(residual.obt), np.linalg.norm(residual.tbt)))
-        return cls(h0, mu, residual, misfit)
+        return cls(theta, h0, mu, residual, misfit)
 
     def h0_tensors(self):
         """(obt, tbt) of the mean-field part in the original orbital frame."""
@@ -63,8 +65,7 @@ class PictureSplit:
 
 
 def _h0_tensors(h0, mu):
-    u = h0.rotation.u
-    return (u * mu) @ u.T, fragment_tensor(h0)
+    return (h0.u * mu) @ h0.u.T, fragment_tensor(h0)
 
 
 def split_interaction(t, seed=0):

@@ -4,7 +4,7 @@ One report holds every requested method's 1-norm plus its unitary count
 under the counting conventions below.  Reports are deterministic for a
 given seed and serialize to canonical JSON, so repeated runs are
 byte-identical and expensive decompositions can be disk-cached keyed by
-(input tensors, method, configuration, code).
+(input tensors, seed, method, code).
 
 Counting conventions (M, reported alongside ceil(log2 M)): Pauli and
 OO-Pauli count non-identity terms above the cutoff; AC and OO-AC count
@@ -38,7 +38,6 @@ from .fragments import (
     DF_TOL,
     csa_greedy,
     double_factorize,
-    fragment_lambda_matrix,
     fragments_from_json,
     fragments_to_json,
     lambda_complete_square,
@@ -90,8 +89,7 @@ COUNT_CUTOFF = 1e-6
 
 
 def _echo(seed):
-    """The report's `config` block; its hash is part of every cache key, so two
-    runs share cache entries exactly when they echo the same settings."""
+    """The report's `config` block: the seed and the paper's fixed settings."""
     return {
         "seed": seed,
         "csa_tol": CSA_TOL,
@@ -143,8 +141,9 @@ class _Cache:
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
-        digest = hashlib.sha256(json.dumps(_echo(seed), sort_keys=True).encode())
-        self.prefix = f"{_tensor_key(t)}-{digest.hexdigest()[:12]}-{_code_digest()}"
+        # the settings _echo reports besides the seed are constants of the
+        # code, which its digest covers
+        self.prefix = f"{_tensor_key(t)}-{seed}-{_code_digest()}"
 
     def key(self, name):
         return f"{self.prefix}-{name}"
@@ -241,9 +240,7 @@ class _MethodEngine:
     def _gcsa_f(self):
         frags = self.gcsa_fragments
         l1, l2 = lambda_fermionic(self._mu(), frags)
-        count = sum(
-            reflection_term_count(fragment_lambda_matrix(f), COUNT_CUTOFF) for f in frags
-        ) + 2 * self.t.n_orb
+        count = sum(reflection_term_count(f.lam, COUNT_CUTOFF) for f in frags) + 2 * self.t.n_orb
         return _entry(l1 + l2, count)
 
     def _gcsa_sr(self):
@@ -283,9 +280,9 @@ def _cached_split(t, seed, cache_dir):
     """Mean-field split of the tensors, disk-cached on the pre-split tensors;
     the entry holds H0's frame theta, which fixes the split (PictureSplit.at)."""
     doc = _Cache(cache_dir, t, seed).fetch(
-        "split", lambda: {"theta": split_interaction(t, seed).h0.rotation.theta.tolist()}
+        "split", lambda: {"theta": split_interaction(t, seed).theta.tolist()}
     )
-    return PictureSplit.at(t, np.asarray(doc["theta"]))
+    return PictureSplit.at(t, doc["theta"])
 
 
 @dataclass

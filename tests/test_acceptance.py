@@ -24,9 +24,7 @@ import numpy as np
 import pytest
 
 from lcunorm.fragments import (
-    CsaFragment,
-    DfFragment,
-    OrbitalRotation,
+    Fragment,
     _antisymmetric,
     _expm_antisym,
     _fragment_fit,
@@ -414,8 +412,8 @@ def test_c6_grouping_never_exceeds_pauli():
 
 def _random_fragment(rng, n):
     lam = rng.normal(size=(n, n))
-    rot = make_rotation(rng.uniform(-0.5, 0.5, size=theta_dim(n)))
-    return CsaFragment(rot, 0.5 * (lam + lam.T))
+    u = make_rotation(rng.uniform(-0.5, 0.5, size=theta_dim(n)))
+    return Fragment(u, 0.5 * (lam + lam.T))
 
 
 def test_c6_sqrt_cost_below_fermionic_cost():
@@ -432,10 +430,9 @@ def test_c6_complete_square_equals_sqrt_on_rank_one():
         n = int(rng.integers(2, 5))
         eps = rng.normal(size=n)
         sign = float(rng.choice([-1.0, 1.0]))
-        rot = make_rotation(rng.uniform(-0.5, 0.5, size=theta_dim(n)))
-        df = DfFragment(rot.u, eps, sign)
-        csa = CsaFragment(rot, sign * np.outer(eps, eps))
-        assert abs(lambda_complete_square(df) - lambda_sqrt_fragment(csa)) < 1e-10
+        u = make_rotation(rng.uniform(-0.5, 0.5, size=theta_dim(n)))
+        f = Fragment(u, sign * np.outer(eps, eps))
+        assert abs(lambda_complete_square(f) - lambda_sqrt_fragment(f)) < 1e-10
 
 
 def test_c6_one_body_norm_identical_under_both_costings():
@@ -502,7 +499,7 @@ def test_c8_csa_cost_near_an_exact_fragment():
     for n in (3, 4, 5):
         theta = rng.uniform(-1.0, 1.0, size=theta_dim(n))
         lam = rng.normal(size=(n, n))
-        target = fragment_tensor(CsaFragment(make_rotation(theta), lam + lam.T))
+        target = fragment_tensor(Fragment(make_rotation(theta), lam + lam.T))
         target /= np.linalg.norm(target)
         cost, _ = _fragment_fit(theta, target)
         assert 0.0 <= cost <= 1e-28
@@ -533,7 +530,7 @@ def test_c8_csa_projection_is_the_split_optimum_in_lam():
         t = random_spatial(n, rng)
         theta = rng.uniform(-1.0, 1.0, size=theta_dim(n))
         mu = rng.normal(size=n)
-        u = make_rotation(theta).u
+        u = make_rotation(theta)
         split_cost, split_grad = _fragment_fit(theta, t.tbt, (u * mu) @ u.T)
         csa_cost, csa_grad = _fragment_fit(theta, t.tbt)
         assert abs(split_cost - csa_cost) <= 1e-12 * max(1.0, csa_cost)
@@ -621,9 +618,9 @@ def _certify_partition(poly, entry, what):
 
 
 def _certify_oo(t, theta, methods):
-    rot = make_rotation(theta)
-    rt = rotate_tensors(rot, t)
-    back = rotate_tensors(OrbitalRotation(-rot.theta, rot.u.T), rt)
+    u = make_rotation(theta)
+    rt = rotate_tensors(u, t)
+    back = rotate_tensors(u.T, rt)
     assert np.max(np.abs(back.obt - t.obt)) <= 1e-10
     assert np.max(np.abs(back.tbt - t.tbt)) <= 1e-10
     poly = jordan_wigner(rt)
@@ -645,7 +642,7 @@ def _certify_residual(t, split, methods):
     # The residual is H - H0 for the cached H0: its squared norm is the fit
     # cost at H0's frame, which the fit builds by its own contraction.
     res = split.residual
-    fit = _fragment_fit(split.h0.rotation.theta, t.tbt, t.obt)[0]
+    fit = _fragment_fit(split.theta, t.tbt, t.obt)[0]
     left = float((res.obt * res.obt).sum() + (res.tbt * res.tbt).sum())
     assert abs(fit - left) <= 1e-10 * max(1.0, fit)
     closed = lambda_pauli_closed_form(res)

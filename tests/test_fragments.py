@@ -7,15 +7,12 @@ from scipy.optimize import linear_sum_assignment
 
 from lcunorm.errors import NumericalError
 from lcunorm.fragments import (
-    CsaFragment,
-    DfFragment,
-    OrbitalRotation,
+    Fragment,
     _df_start,
     _fragment_fit,
     _pair_columns,
     csa_greedy,
     double_factorize,
-    fragment_lambda_matrix,
     fragment_tensor,
     fragments_from_json,
     fragments_to_json,
@@ -31,29 +28,37 @@ from lcunorm.tensors import SpatialTensors, load_fixture, to_chemist
 
 
 def _diag_fragment(lam, n):
-    return CsaFragment(make_rotation(np.zeros(theta_dim(n))), lam)
+    return Fragment(np.eye(n), lam)
 
 
 def test_zero_theta_is_identity():
-    r = make_rotation(np.zeros(theta_dim(4)))
-    assert np.abs(r.u - np.eye(4)).max() == 0.0
+    u = make_rotation(np.zeros(theta_dim(4)))
+    assert np.abs(u - np.eye(4)).max() == 0.0
 
 
 def test_quarter_rotation():
-    r = make_rotation(np.array([np.pi / 2]))
-    assert np.abs(r.u - np.array([[0.0, -1.0], [1.0, 0.0]])).max() < 1e-12
+    u = make_rotation(np.array([np.pi / 2]))
+    assert np.abs(u - np.array([[0.0, -1.0], [1.0, 0.0]])).max() < 1e-12
 
 
 def test_rotation_orthogonality():
     rng = np.random.default_rng(7)
-    r = make_rotation(rng.standard_normal(theta_dim(4)))
-    assert np.abs(r.u.T @ r.u - np.eye(4)).max() < 1e-12
-    assert abs(np.linalg.det(r.u) - 1.0) < 1e-10
+    u = make_rotation(rng.standard_normal(theta_dim(4)))
+    assert np.abs(u.T @ u - np.eye(4)).max() < 1e-12
+    assert abs(np.linalg.det(u) - 1.0) < 1e-10
 
 
 def test_rotation_rejects_non_orthogonal():
-    with pytest.raises(ValueError):
-        OrbitalRotation(np.zeros(1), np.array([[1.0, 0.3], [0.0, 1.0]]))
+    # rotate_tensors is where a rotation matrix enters from outside: it
+    # refuses a matrix that is not orthogonal, a reflection (det -1) and
+    # a matrix of the wrong size
+    t = random_spatial(2, np.random.default_rng(11))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        rotate_tensors(np.array([[1.0, 0.3], [0.0, 1.0]]), t)
+    with pytest.raises(ValueError, match="determinant"):
+        rotate_tensors(np.array([[0.0, 1.0], [1.0, 0.0]]), t)
+    with pytest.raises(ValueError, match="dimension"):
+        rotate_tensors(np.eye(3), t)
 
 
 def test_rotate_identity_and_inverse():
@@ -92,9 +97,10 @@ def test_df_recovers_single_square():
     t = SpatialTensors(0.0, np.zeros((2, 2)), _square_tensor(eps))
     frags = double_factorize(t)
     assert len(frags) == 1
-    f = frags[0]
-    assert f.sign == 1.0
-    got = np.sort(np.abs(f.eps))
+    lam = frags[0].lam
+    # the positive rank-1 lam = eps outer eps, |eps| = sqrt(diag(lam))
+    assert np.abs(np.linalg.eigvalsh(lam) - np.array([0.0, 1.25])).max() < 1e-12
+    got = np.sort(np.sqrt(np.diag(lam)))
     assert np.abs(got - np.array([0.5, 1.0])).max() < 1e-12
 
 
@@ -165,7 +171,7 @@ def test_df_start_is_the_leading_df_rotation(name):
         t = to_chemist(load_fixture(name))
     n = t.n_orb
     theta = _df_start(t.tbt)
-    w_start, w_df = _pair_columns(make_rotation(theta).u), _pair_columns(double_factorize(t)[0].u)
+    w_start, w_df = _pair_columns(make_rotation(theta)), _pair_columns(double_factorize(t)[0].u)
     assert np.abs(w_start @ w_start.T - w_df @ w_df.T).max() <= 1e-10
     norm2 = (t.tbt**2).sum()
     w_max = np.abs(np.linalg.eigvalsh(t.tbt.reshape(n * n, n * n))).max()
@@ -185,14 +191,14 @@ def test_df_start_turns_an_improper_frame_proper():
     else:
         pytest.fail("no improper frame found")
     ell = (u * np.arange(1.0, 9.0)) @ u.T
-    w_start = _pair_columns(make_rotation(_df_start(np.einsum("ij,kl->ijkl", ell, ell))).u)
+    w_start = _pair_columns(make_rotation(_df_start(np.einsum("ij,kl->ijkl", ell, ell))))
     assert np.abs(w_start @ w_start.T - _pair_columns(u) @ _pair_columns(u).T).max() <= 1e-10
 
 
 def test_df_start_one_orbital():
     theta = _df_start(np.full((1, 1, 1, 1), 2.0))
     assert theta.shape == (0,)
-    assert make_rotation(theta).u.tolist() == [[1.0]]
+    assert make_rotation(theta).tolist() == [[1.0]]
 
 
 def test_csa_runs_one_fit_per_fragment(monkeypatch):
@@ -270,9 +276,20 @@ def test_lambda_sqrt_single_term():
 
 
 def test_complete_square_examples():
-    rot = make_rotation(np.zeros(1))
-    assert lambda_complete_square(DfFragment(rot.u, np.array([1.0, 1.0]), 1.0)) == 2.0
-    assert lambda_complete_square(DfFragment(rot.u, np.zeros(2), 1.0)) == 0.0
+    assert lambda_complete_square(_diag_fragment(np.ones((2, 2)), 2)) == 2.0
+    assert lambda_complete_square(_diag_fragment(np.zeros((2, 2)), 2)) == 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_complete_square_keeps_the_bits_of_eps(sign):
+    # a correctly rounded sqrt returns |e| from fl(e * e), so the cost read
+    # from lam = sign * (eps outer eps) has the bits of the cost of eps
+    rng = np.random.default_rng(61)
+    for _ in range(500):
+        n = int(rng.integers(1, 13))
+        eps = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-150.0, 150.0, size=n)
+        f = Fragment(make_rotation(rng.standard_normal(theta_dim(n))), sign * np.outer(eps, eps))
+        assert lambda_complete_square(f) == 0.5 * np.abs(eps).sum() ** 2
 
 
 def test_sqrt_cost_below_fermionic():
@@ -287,10 +304,9 @@ def test_sqrt_cost_below_fermionic():
 
 def test_sqrt_equals_complete_square_rank_one():
     rng = np.random.default_rng(31)
-    rot = make_rotation(np.zeros(theta_dim(4)))
     for _ in range(50):
         eps = rng.standard_normal(4)
-        f = DfFragment(rot.u, eps, 1.0)
+        f = _diag_fragment(np.outer(eps, eps), 4)
         assert abs(lambda_sqrt_fragment(f) - lambda_complete_square(f)) < 1e-10
 
 
@@ -298,8 +314,8 @@ def test_sqrt_rotation_invariant():
     rng = np.random.default_rng(37)
     lam = rng.standard_normal((3, 3))
     lam = lam + lam.T
-    a = CsaFragment(make_rotation(np.zeros(theta_dim(3))), lam)
-    b = CsaFragment(make_rotation(rng.standard_normal(theta_dim(3))), lam)
+    a = _diag_fragment(lam, 3)
+    b = Fragment(make_rotation(rng.standard_normal(theta_dim(3))), lam)
     assert abs(lambda_sqrt_fragment(a) - lambda_sqrt_fragment(b)) < 1e-12
 
 
@@ -314,19 +330,26 @@ def test_one_body_norm_shared_code_path():
 
 def test_fragment_json_round_trip():
     rng = np.random.default_rng(43)
-    rot = make_rotation(rng.standard_normal(theta_dim(3)))
+    u = make_rotation(rng.standard_normal(theta_dim(3)))
     lam = rng.standard_normal((3, 3))
     lam = lam + lam.T
-    frags = [CsaFragment(rot, lam), CsaFragment(make_rotation(np.zeros(theta_dim(3))), -lam)]
+    frags = [Fragment(u, lam), _diag_fragment(-lam, 3)]
     back = fragments_from_json(fragments_to_json(frags))
     assert len(back) == 2
     for f, g in zip(frags, back):
-        assert np.abs(fragment_tensor(f) - fragment_tensor(g)).max() < 1e-12
-        assert np.abs(fragment_lambda_matrix(f) - fragment_lambda_matrix(g)).max() < 1e-12
+        assert np.array_equal(f.u, g.u)
+        assert np.array_equal(f.lam, g.lam)
+
+
+def test_fragment_symmetrizes_lam_and_rejects_an_asymmetric_one():
+    lam = np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]])
+    assert np.array_equal(Fragment(np.eye(2), lam).lam, 0.5 * (lam + lam.T))
+    with pytest.raises(ValueError, match="symmetric"):
+        Fragment(np.eye(2), np.array([[1.0, 2.0], [2.1, 3.0]]))
 
 
 def test_sqrt_refuses_large_n():
     lam = np.eye(17)
-    f = CsaFragment(make_rotation(np.zeros(theta_dim(17))), lam)
+    f = _diag_fragment(lam, 17)
     with pytest.raises(NumericalError):
         lambda_sqrt_fragment(f)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lcunorm.fragments import (
-    CsaFragment,
+    Fragment,
     _fragment_fit,
     fragment_tensor,
     make_rotation,
@@ -26,11 +26,10 @@ def chemist(name):
 def test_exactly_representable_input_splits_cleanly():
     rng = np.random.default_rng(1)
     n = 3
-    rot = make_rotation(rng.uniform(-0.4, 0.4, size=theta_dim(n)))
+    u = make_rotation(rng.uniform(-0.4, 0.4, size=theta_dim(n)))
     mu = rng.normal(size=n)
     lam = rng.normal(size=(n, n))
-    frag = CsaFragment(rot, 0.5 * (lam + lam.T))
-    u = rot.u
+    frag = Fragment(u, 0.5 * (lam + lam.T))
     t = SpatialTensors(0.3, (u * mu) @ u.T, fragment_tensor(frag))
     split = split_interaction(t)
     assert split.fit_residual_norm < 1e-6
@@ -81,7 +80,7 @@ def test_fit_residual_norm_is_the_fitted_norm(molecule):
     # the fit minimizes |obt - obt0|^2 + |tbt - tbt0|^2 over H0's frame
     t = chemist(molecule)
     split = split_interaction(t)
-    cost = _fragment_fit(split.h0.rotation.theta, t.tbt, t.obt)[0]
+    cost = _fragment_fit(split.theta, t.tbt, t.obt)[0]
     assert abs(split.fit_residual_norm**2 - cost) <= 1e-12 * cost
 
 
@@ -106,7 +105,7 @@ def test_split_keeps_the_last_tied_start(monkeypatch, costs, kept):
     monkeypatch.setattr(opt, "minimize", fixed)
     split = split_interaction(t)
     assert len(ends) == 3
-    assert np.array_equal(split.h0.rotation.theta, ends[kept])
+    assert np.array_equal(split.theta, ends[kept])
 
 
 @pytest.mark.parametrize("molecule", ["lih", "beh2", "h2o", "nh3"])

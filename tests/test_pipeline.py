@@ -89,7 +89,7 @@ def test_json_reports_are_byte_identical(runner, tmp_path, molecule, variant, me
 
 @pytest.mark.parametrize("picture, max_iters", [("schrodinger", 2000), ("interaction", 2000)])
 def test_config_block_is_pinned(picture, max_iters):
-    # the block is hashed into every cache key: a change to it moves every
+    # the block echoes constants of the code, whose digest is in every cache
     # key; both pictures run their searches with the one iteration cap
     report = run_pipeline("h2", methods=["pauli"], picture=picture)
     config = json.loads(emit_table([report], fmt="json"))["reports"][0]["config"]
@@ -290,6 +290,20 @@ def test_code_digest_change_misses_every_entry(tmp_path, monkeypatch):
     # changed code misses every entry and stores each anew
     monkeypatch.setattr(pl, "_code_digest", lambda: "0" * 12)
     assert run_pipeline("h2", cache_dir=d).methods == first
+    after = set(os.listdir(d))
+    assert after > before and len(after - before) == len(before)
+
+
+def test_another_seed_misses_every_entry(tmp_path):
+    # an entry's key is the tensors, the seed, the method and the code digest
+    import lcunorm.pipeline as pl
+
+    d = str(tmp_path)
+    t = pl.prepare("h2").tensors
+    assert pl._Cache(d, t, 3).key("ac") == f"{pl._tensor_key(t)}-3-{pl._code_digest()}-ac"
+    run_pipeline("h2", methods=FAST, cache_dir=d)
+    before = set(os.listdir(d))
+    run_pipeline("h2", methods=FAST, seed=3, cache_dir=d)
     after = set(os.listdir(d))
     assert after > before and len(after - before) == len(before)
 

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Cold per-layer record of the pipeline's searches, written to BENCH_1.json.
 
-For each bundled fixture it times `split_interaction` on the raw tensors
-(fastest of three calls, one BLAS thread, nothing cached) and counts, in
-one more call, its BFGS runs, their iterations and their cost
-evaluations, which do not depend on the machine.  The rows are stored
-under a label, so the record can hold the code before and after a change
-side by side; the Python, numpy and scipy versions, the CPU count and the
-BLAS thread count are stored with them.
+For each bundled fixture it times `split_interaction`, `csa_greedy` and
+`double_factorize` on the raw tensors (fastest of three calls, one BLAS
+thread, nothing cached).  In one more call it counts what does not depend
+on the machine: the fragments of CSA and DF, and the BFGS runs, their
+iterations and their cost evaluations of the split and CSA.  The rows are
+stored under a label, so the record can hold the code before and after a
+change side by side; the Python, numpy and scipy versions, the CPU count
+and the BLAS thread count are stored with them.
 
-    python tools/bench.py --label theta-only-split [--out BENCH_1.json]
+    python tools/bench.py --label one-fragment-type [--out BENCH_1.json]
 
 The package is imported from the `src` next to this script, so a copy of
 the script in another checkout measures that checkout's code.
@@ -32,6 +33,7 @@ import scipy  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 from lcunorm import optimize  # noqa: E402
+from lcunorm.fragments import csa_greedy, double_factorize  # noqa: E402
 from lcunorm.picture import split_interaction  # noqa: E402
 from lcunorm.tensors import FIXTURE_NAMES, load_fixture, to_chemist  # noqa: E402
 
@@ -39,8 +41,8 @@ REPEATS = 3
 
 
 def _counted(fn, *args):
-    """fn(*args) with optimize.minimize counting BFGS runs, iterations and
-    cost evaluations (the searches import it per call)."""
+    """(fn(*args), counts) with optimize.minimize counting BFGS runs,
+    iterations and cost evaluations (the searches import it per call)."""
     counts = {"bfgs_runs": 0, "bfgs_iters": 0, "cost_evals": 0}
     real = optimize.minimize
 
@@ -56,23 +58,33 @@ def _counted(fn, *args):
 
     optimize.minimize = minimize
     try:
-        fn(*args)
+        result = fn(*args)
     finally:
         optimize.minimize = real
-    return counts
+    return result, counts
 
 
-def split_rows():
-    rows = {}
+def _fastest(fn, *args):
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return round(best, 4)
+
+
+def layer_rows():
+    """{layer: {fixture: row}} for the split, CSA and DF on the raw tensors.
+    The counted call runs first, so it pays the one-time scipy imports."""
+    rows = {"split": {}, "csa": {}, "df": {}}
     for name in FIXTURE_NAMES:
         t = to_chemist(load_fixture(name))
-        row = _counted(split_interaction, t)  # also pays the one-time scipy import
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            split_interaction(t)
-            best = min(best, time.perf_counter() - start)
-        rows[name] = {"seconds": round(best, 4), **row}
+        _, counts = _counted(split_interaction, t)
+        rows["split"][name] = {"seconds": _fastest(split_interaction, t), **counts}
+        frags, counts = _counted(csa_greedy, t)
+        rows["csa"][name] = {"fragments": len(frags), "seconds": _fastest(csa_greedy, t), **counts}
+        frags = double_factorize(t)
+        rows["df"][name] = {"fragments": len(frags), "seconds": _fastest(double_factorize, t)}
     return rows
 
 
@@ -95,7 +107,7 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out) as fh:
             record = json.load(fh)
-    record[args.label] = {"environment": environment(), "split": split_rows()}
+    record[args.label] = {"environment": environment(), **layer_rows()}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
