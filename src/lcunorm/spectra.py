@@ -13,13 +13,13 @@ Hamiltonian is a same-spin operator for each spin plus one cross-spin sum
 sum_y D_y (x) At_y, beta excitations D_y = E_pq against alpha partners At_y
 weighted by g + g.T.  A sector keeps only the dense At and the sparse D
 (each beta state has k + k(n - k) incoming excitations), so the Lanczos
-matvec runs as one GEMM and one sparse product.  The dense stack grows as
+matvec runs as one GEMM and one sparse product, and Lanczos, the plain
+three-term recurrence, stores no Krylov basis.  The dense stack grows as
 n^2 d^2, so `spectral_range` estimates the peak bytes of its largest
 sector first and raises NumericalError above `_SECTOR_BYTES_LIMIT` (1 GiB)
 instead of allocating it.
 """
 
-import mmap
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -131,42 +131,37 @@ class _Sector:
 
 
 def _lanczos_extremes(matvec, dim):
-    """Both extremal eigenvalues from one Krylov run, full reorthogonalization.
+    """Both extremal eigenvalues from one Krylov run of the three-term
+    recurrence, which holds the current and the previous vector only.
 
-    Returns (e_min, e_max, residual bound) once the bound is below
-    `_LANCZOS_TOL`, and raises NumericalError after `_LANCZOS_CAP` steps.
-    Deterministic start vector.
+    Without reorthogonalization the Lanczos vectors lose orthogonality as
+    Ritz values converge, and copies of converged ones appear, but the
+    extremes still converge (Paige, 1976; Cullum & Willoughby, 1985).  So
+    the run cannot stop by exhausting the Krylov space: it stops once the
+    residual bound is below `_LANCZOS_TOL` or the next vector vanishes, and
+    raises NumericalError after `_LANCZOS_CAP` steps, also for an operator
+    of lower dimension whose extremes have not converged by then.  Returns
+    (e_min, e_max, residual bound).  Deterministic start vector.
     """
     rng = np.random.default_rng(1905)
-    steps = min(dim, _LANCZOS_CAP)
-    # Row j holds the j-th Krylov vector.  The rows live in an anonymous
-    # mapping, not a malloc'd array: freeing a large malloc'd block raises
-    # glibc's mmap threshold to its size, and later mid-sized allocations
-    # then stay on the heap (a freed 7.5 MB NH3 basis added ~10 MB to the
-    # peak RSS of the rest of a run).  Only pages of written rows are resident.
-    mapping = mmap.mmap(-1, steps * dim * 8)
-    basis = np.frombuffer(mapping, dtype=float).reshape(steps, dim)
-    basis[0] = rng.standard_normal(dim)
-    basis[0] /= np.linalg.norm(basis[0])
+    q = rng.standard_normal(dim)
+    q /= np.linalg.norm(q)
     alphas, betas = [], []
-    for j in range(steps):
-        w = matvec(basis[j])
-        a = float(basis[j] @ w)
+    for _ in range(_LANCZOS_CAP):
+        w = matvec(q)
+        a = float(q @ w)
         alphas.append(a)
-        w = w - a * basis[j]
-        if j > 0:
-            w = w - betas[-1] * basis[j - 1]
-        qmat = basis[: j + 1]
-        w = w - qmat.T @ (qmat @ w)
-        w = w - qmat.T @ (qmat @ w)
+        w = w - a * q
+        if betas:
+            w = w - betas[-1] * q_prev
         b = float(np.linalg.norm(w))
         (lo, last_lo), (hi, last_hi) = _tridiag_extremes(alphas, betas)
         res = b * max(abs(last_lo), abs(last_hi))
-        if res <= _LANCZOS_TOL or b < 1e-13 or j == dim - 1:
+        if res <= _LANCZOS_TOL or b < 1e-13:
             return lo, hi, res
         betas.append(b)
-        if j + 1 < steps:
-            basis[j + 1] = w / b
+        w /= b
+        q_prev, q = q, w
     raise NumericalError(
         f"Lanczos reached its {_LANCZOS_CAP}-step cap (residual {res:.3e})",
         payload={"residual": res},
@@ -213,12 +208,14 @@ def _sectors(n):
 def _sector_bytes(n, na, nb):
     """Estimated peak bytes of one sector: the larger of what is held while
     it is built (a dense excitation stack next to its product with g) and
-    while Lanczos runs (the dense at_cols stack, a matvec's intermediate
-    and the basis), plus the sparse d_rows stack."""
+    while Lanczos runs (the dense at_cols stack, a matvec's intermediate,
+    the same-spin blocks and five sector vectors: the recurrence's current
+    and previous one and the matvec's result and products), plus the
+    sparse d_rows stack."""
     da, db = comb(n, na), comb(n, nb)
     dim = da * db
     build = 2 * n * n * max(da, db) ** 2
-    run = n * n * (da * da + dim) + min(dim, _LANCZOS_CAP) * dim
+    run = n * n * (da * da + dim) + da * da + db * db + 5 * dim
     # d_rows: a value and a 32-bit column index per entry, a pointer per row
     sparse = 12 * db * (nb + nb * (n - nb)) + 4 * (db + 1)
     return 8 * max(build, run) + sparse

@@ -28,7 +28,13 @@ from lcunorm.errors import NumericalError
 from lcunorm.fragments import _tril
 from lcunorm.grouping import AcGroup, AcPartition, _insertion_order, sorted_insertion
 from lcunorm.pauli import _HALF, PRUNE_TOL, PauliPolynomial, _product, _unpack
-from lcunorm.spectra import _Sector, _lanczos_extremes, _sector_basis
+from lcunorm.spectra import (
+    _LANCZOS_CAP,
+    _LANCZOS_TOL,
+    _Sector,
+    _sector_basis,
+    _tridiag_extremes,
+)
 from lcunorm.symshift import weighted_median
 from lcunorm.tensors import SpatialTensors
 
@@ -740,14 +746,46 @@ def sector_states(n, n_alpha, n_beta):
     return np.array(idx), np.array(sgn)
 
 
+def lanczos_extremes_reorthogonalized(matvec, dim):
+    """(e_min, e_max, residual bound) of the reference Lanczos run: it keeps
+    the whole Krylov basis and orthogonalizes each new vector twice against
+    all of it, so it also stops, exactly, on exhausting the Krylov space.
+    Start vector, tolerance, cap and tridiagonal solver are the library's."""
+    rng = np.random.default_rng(1905)
+    steps = min(dim, _LANCZOS_CAP)
+    basis = np.zeros((steps, dim))
+    basis[0] = rng.standard_normal(dim)
+    basis[0] /= np.linalg.norm(basis[0])
+    alphas, betas = [], []
+    for j in range(steps):
+        w = matvec(basis[j])
+        a = float(basis[j] @ w)
+        alphas.append(a)
+        w = w - a * basis[j]
+        if j > 0:
+            w = w - betas[-1] * basis[j - 1]
+        qmat = basis[: j + 1]
+        w = w - qmat.T @ (qmat @ w)
+        w = w - qmat.T @ (qmat @ w)
+        b = float(np.linalg.norm(w))
+        (lo, last_lo), (hi, last_hi) = _tridiag_extremes(alphas, betas)
+        res = b * max(abs(last_lo), abs(last_hi))
+        if res <= _LANCZOS_TOL or b < 1e-13 or j == dim - 1:
+            return lo, hi, res
+        betas.append(b)
+        if j + 1 < steps:
+            basis[j + 1] = w / b
+    raise NumericalError(f"reference Lanczos reached its {_LANCZOS_CAP}-step cap")
+
+
 def all_sector_range(t):
-    """(e_min, e_max) from Lanczos on every (n_alpha, n_beta) sector, with
-    no spin argument to skip any of them."""
+    """(e_min, e_max) from the reference Lanczos on every (n_alpha, n_beta)
+    sector, with no spin argument to skip any of them."""
     lows, highs = [], []
     for na in range(t.n_orb + 1):
         for nb in range(t.n_orb + 1):
             sec = _Sector(t, na, nb)
-            lo, hi, _ = _lanczos_extremes(sec.matvec, sec.dim)
+            lo, hi, _ = lanczos_extremes_reorthogonalized(sec.matvec, sec.dim)
             lows.append(lo)
             highs.append(hi)
     return min(lows), max(highs)

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Cold per-layer record of the pipeline's searches, written to BENCH_1.json.
+"""Cold per-layer record of the pipeline's layers, written to BENCH_1.json.
 
-For each bundled fixture it times `split_interaction`, `csa_greedy` and
-`double_factorize` on the raw tensors (fastest of three calls, one BLAS
-thread, nothing cached).  In one more call it counts what does not depend
-on the machine: the fragments of CSA and DF, and the BFGS runs, their
-iterations and their cost evaluations of the split and CSA.  The rows are
+For each bundled fixture it times `split_interaction`, `csa_greedy`,
+`double_factorize` and `spectral_range` (dE/2) on the raw tensors (fastest
+of three calls, one BLAS thread, nothing cached).  In one more call it
+counts what does not depend on the machine: the fragments of CSA and DF,
+the BFGS runs, their iterations and their cost evaluations of the split
+and CSA, and the sectors and Lanczos matvecs of dE/2.  The rows are
 stored under a label, so the record can hold the code before and after a
 change side by side; the Python, numpy and scipy versions, the CPU count
 and the BLAS thread count are stored with them.
@@ -32,7 +33,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
-from lcunorm import optimize  # noqa: E402
+from lcunorm import optimize, spectra  # noqa: E402
 from lcunorm.fragments import csa_greedy, double_factorize  # noqa: E402
 from lcunorm.picture import split_interaction  # noqa: E402
 from lcunorm.tensors import FIXTURE_NAMES, load_fixture, to_chemist  # noqa: E402
@@ -64,6 +65,27 @@ def _counted(fn, *args):
     return result, counts
 
 
+def _counted_de2(t):
+    """Sectors visited and Lanczos matvecs of one `spectral_range(t)`."""
+    counts = {"sectors": 0, "matvecs": 0}
+    real = spectra._lanczos_extremes
+
+    def lanczos(matvec, dim):
+        def counted(v):
+            counts["matvecs"] += 1
+            return matvec(v)
+
+        counts["sectors"] += 1
+        return real(counted, dim)
+
+    spectra._lanczos_extremes = lanczos
+    try:
+        spectra.spectral_range(t)
+    finally:
+        spectra._lanczos_extremes = real
+    return counts
+
+
 def _fastest(fn, *args):
     best = float("inf")
     for _ in range(REPEATS):
@@ -74,9 +96,10 @@ def _fastest(fn, *args):
 
 
 def layer_rows():
-    """{layer: {fixture: row}} for the split, CSA and DF on the raw tensors.
-    The counted call runs first, so it pays the one-time scipy imports."""
-    rows = {"split": {}, "csa": {}, "df": {}}
+    """{layer: {fixture: row}} for the split, CSA, DF and dE/2 on the raw
+    tensors.  The counted call runs first, so it pays the one-time scipy
+    imports."""
+    rows = {"split": {}, "csa": {}, "df": {}, "de2": {}}
     for name in FIXTURE_NAMES:
         t = to_chemist(load_fixture(name))
         _, counts = _counted(split_interaction, t)
@@ -85,6 +108,8 @@ def layer_rows():
         rows["csa"][name] = {"fragments": len(frags), "seconds": _fastest(csa_greedy, t), **counts}
         frags = double_factorize(t)
         rows["df"][name] = {"fragments": len(frags), "seconds": _fastest(double_factorize, t)}
+        counts = _counted_de2(t)
+        rows["de2"][name] = {"seconds": _fastest(spectra.spectral_range, t), **counts}
     return rows
 
 
