@@ -235,9 +235,11 @@ def _df_start(tbt):
     so there the misfit is at most |tbt|^2 - w_max^2 <= (1 - 1/n^2) |tbt|^2.
     The columns (the fragment ignores their order and signs) are moved onto
     a positive diagonal, the smallest flipped back if det is -1, so that
-    the log is real and small.
+    the log is real and small.  The log is taken from the complex Schur form
+    u = Z T Z^H: u is orthogonal, so normal, and T is diagonal, which makes
+    the log Z diag(log t_ii) Z^H.
     """
-    from scipy.linalg import logm
+    from scipy.linalg import schur
     from scipy.optimize import linear_sum_assignment
 
     n = tbt.shape[0]
@@ -248,7 +250,8 @@ def _df_start(tbt):
     u = u * np.where(np.diag(u) < 0, -1.0, 1.0)
     if np.linalg.det(u) < 0:
         u[:, np.argmin(np.diag(u))] *= -1.0
-    a = logm(u).real
+    tri, z = schur(u, output="complex")
+    a = ((z * np.log(np.diag(tri))) @ z.conj().T).real
     return (0.5 * (a - a.T))[_tril(n, -1)]
 
 

@@ -36,49 +36,79 @@ def _starts(x_base, seed, width):
 
 
 def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
-    """Quasi-Newton descent; stops at ||grad||_inf <= tol_grad or MAX_ITERS.
+    """BFGS descent; stops at ||grad||_inf <= tol_grad, MAX_ITERS, a zero step
+    or a failed line search.
 
-    `f` returns (cost, gradient).  `jac` must be true (false raises
-    ValueError); it stays so that wrappers which forward the call shape
-    (f, x0, tol_grad, jac) keep working.  Guarantees f(x*) <= f(x0), and
-    evaluates f at x0 once.
+    The iterates are scipy's BFGS (scipy.optimize.minimize, method="BFGS")
+    bit for bit, run without its wrapper layers: H0 = I, a first step of
+    length ~1, the same inverse-Hessian update (rho = 1000 where y.s = 0)
+    and scipy's Wolfe line search (More-Thuente's DCSRCH, falling back to
+    its wolfe2 search).  `f` returns (cost, gradient) and is called once per
+    point, x0 included; `jac` must be true (false raises ValueError), and
+    stays so that wrappers which forward the call shape (f, x0, tol_grad,
+    jac) keep working.  Returns (x*, f(x*), iterations), with f(x*) <= f(x0).
     A non-finite cost or gradient, at x0 or during the search, raises
     NumericalError carrying the offending iterate.
     """
     if not jac:
         raise ValueError("minimize needs f to return (cost, gradient): jac must be true")
-    import scipy.optimize
+    from scipy.optimize._optimize import _line_search_wolfe12, _LineSearchError
 
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)
+    last = [None, None]  # the last point's bytes and its (cost, gradient)
 
-    def checked(x):
-        c, g = f(x)
-        if not np.isfinite(c) or not np.all(np.isfinite(g)):
-            raise _NonFinite(np.array(x))
-        return c, np.asarray(g, dtype=float)
+    def at(x):
+        key = x.tobytes()
+        if key != last[0]:
+            c, g = f(x)
+            if not np.isfinite(c) or not np.all(np.isfinite(g)):
+                raise _NonFinite(np.array(x))
+            last[:] = key, (c, np.asarray(g, dtype=float))
+        return last[1]
 
     try:
-        f0, g0 = checked(x0)
+        f0, gk = at(x0)
         if x0.size == 0:  # nothing to search, e.g. the rotation of one orbital
             return x0, float(f0), 0
-        known = [(f0, g0)]
-
-        def fun(x):
-            # scipy's first call is at x0, whose values the guard already holds
-            if known and np.array_equal(x, x0):
-                return known.pop()
-            return checked(x)
-
-        opts = {"gtol": tol_grad, "maxiter": MAX_ITERS}
-        res = scipy.optimize.minimize(fun, x0, jac=True, method="BFGS", options=opts)
+        eye = np.eye(x0.size)
+        hk = eye
+        # the line search's previous cost, chosen so that its first trial step
+        # has length ~1
+        fk, f_prev = f0, f0 + np.linalg.norm(gk) / 2
+        xk, k = x0, 0
+        gnorm = np.abs(gk).max()
+        while gnorm > tol_grad and k < MAX_ITERS:
+            pk = -np.dot(hk, gk)
+            try:
+                alpha, _, _, fk, f_prev, g_next = _line_search_wolfe12(
+                    lambda x: at(x)[0], lambda x: at(x)[1], xk, pk, gk, fk, f_prev,
+                    amin=1e-100, amax=1e100, c1=1e-4, c2=0.9,
+                )
+            except _LineSearchError:
+                break
+            sk = alpha * pk
+            xk = xk + sk
+            if g_next is None:
+                g_next = at(xk)[1]
+            yk = g_next - gk
+            gk = g_next
+            k += 1
+            gnorm = np.abs(gk).max()
+            if gnorm <= tol_grad or alpha * np.linalg.norm(pk) <= 0.0:  # or a zero step
+                break
+            rho_inv = np.dot(yk, sk)
+            rho = 1000.0 if rho_inv == 0.0 else 1.0 / rho_inv
+            a1 = eye - sk[:, np.newaxis] * yk[np.newaxis, :] * rho
+            a2 = eye - yk[:, np.newaxis] * sk[np.newaxis, :] * rho
+            hk = np.dot(a1, np.dot(hk, a2)) + (rho * sk[:, np.newaxis] * sk[np.newaxis, :])
     except _NonFinite as bad:
         raise NumericalError(
             "non-finite cost encountered during minimization",
             payload={"last_x": bad.args[0]},
         ) from None
-    if res.fun > f0:
-        return x0, float(f0), int(res.nit)
-    return np.asarray(res.x, dtype=float), float(res.fun), int(res.nit)
+    if fk > f0:
+        return x0, float(f0), k
+    return xk, float(fk), k
 
 
 def _oo_cost(theta, t, width=0.0):

@@ -15,8 +15,9 @@ electron number, the signed permutation from a
 particle sector's blocked states to the interleaved Fock basis, the
 spectral range as Lanczos on every particle sector, the symmetry-shift
 problem as a linear program, the theta gradient of a rotation through
-scipy's Frechet derivative of the matrix exponential, and the count of
-reflection-pair products as a loop over the entries.
+scipy's Frechet derivative of the matrix exponential, scipy's own BFGS
+driver, the DF start's log through scipy's general matrix log, and the
+count of reflection-pair products as a loop over the entries.
 """
 
 from dataclasses import dataclass
@@ -860,6 +861,48 @@ def expm_frechet_theta_grad(a, gu):
     z = scipy.linalg.expm_frechet(a.T, gu, compute_expm=False)
     rows, cols = _tril(a.shape[0], -1)
     return z[rows, cols] - z[cols, rows]
+
+
+# ---- BFGS and the DF start --------------------------------------------------
+
+
+def scipy_bfgs(f, x0, tol_grad):
+    """(x, cost, iterations, calls of f) of scipy.optimize.minimize's BFGS on
+    f, which returns (cost, gradient), with the library's iteration cap and
+    its rule that the result is never above the start."""
+    import scipy.optimize
+
+    from lcunorm.optimize import MAX_ITERS
+
+    costs = []
+
+    def counted(x):
+        out = f(x)
+        costs.append(out[0])
+        return out
+
+    opts = {"gtol": tol_grad, "maxiter": MAX_ITERS}
+    res = scipy.optimize.minimize(counted, x0, jac=True, method="BFGS", options=opts)
+    if res.fun > costs[0]:
+        return np.asarray(x0, dtype=float), float(costs[0]), int(res.nit), len(costs)
+    return res.x, float(res.fun), int(res.nit), len(costs)
+
+
+def df_start_logm(tbt):
+    """Theta of the DF start's frame (as _df_start builds it) by scipy's
+    general matrix log, logm."""
+    from scipy.optimize import linear_sum_assignment
+
+    n = tbt.shape[0]
+    w, v = np.linalg.eigh(tbt.reshape(n * n, n * n))
+    ell = v[:, np.argmax(np.abs(w))].reshape(n, n)
+    u = np.linalg.eigh(0.5 * (ell + ell.T))[1]
+    u = u[:, linear_sum_assignment(-np.abs(u))[1]]
+    u = u * np.where(np.diag(u) < 0, -1.0, 1.0)
+    if np.linalg.det(u) < 0:
+        u[:, np.argmin(np.diag(u))] *= -1.0
+    a = scipy.linalg.logm(u).real
+    return (0.5 * (a - a.T))[_tril(n, -1)]
 
 
 # ---- reflection-pair products -------------------------------------------

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from oracles import dense_hamiltonian, random_spatial, reflection_term_count_loop
+from oracles import (
+    dense_hamiltonian,
+    df_start_logm,
+    random_spatial,
+    reflection_term_count_loop,
+)
 from scipy.optimize import linear_sum_assignment
 
 from lcunorm.errors import NumericalError
@@ -24,7 +29,7 @@ from lcunorm.fragments import (
     rotate_tensors,
     theta_dim,
 )
-from lcunorm.tensors import SpatialTensors, load_fixture, to_chemist
+from lcunorm.tensors import FIXTURE_NAMES, SpatialTensors, load_fixture, to_chemist
 
 
 def _diag_fragment(lam, n):
@@ -193,6 +198,28 @@ def test_df_start_turns_an_improper_frame_proper():
     ell = (u * np.arange(1.0, 9.0)) @ u.T
     w_start = _pair_columns(make_rotation(_df_start(np.einsum("ij,kl->ijkl", ell, ell))))
     assert np.abs(w_start @ w_start.T - _pair_columns(u) @ _pair_columns(u).T).max() <= 1e-10
+
+
+@pytest.mark.parametrize("molecule", FIXTURE_NAMES)
+def test_df_start_log_matches_logm(molecule):
+    # the Schur log of the DF frame against scipy's general logm, on the raw,
+    # shifted and residual tensors
+    from lcunorm.pipeline import prepare
+
+    for variant in ({}, {"shift": True}, {"picture": "interaction"}):
+        tbt = prepare(molecule, **variant).tensors.tbt
+        assert np.abs(_df_start(tbt) - df_start_logm(tbt)).max() <= 1e-13
+
+
+def test_df_start_log_matches_logm_on_random_rotations():
+    # a rank-1 tensor whose DF frame is a random rotation of 2-8 orbitals
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        u = make_rotation(rng.uniform(-0.8, 0.8, theta_dim(n)))
+        ell = (u * rng.uniform(0.5, 2.0, n)) @ u.T
+        tbt = np.einsum("ij,kl->ijkl", ell, ell)
+        assert np.abs(_df_start(tbt) - df_start_logm(tbt)).max() <= 1e-13
 
 
 def test_df_start_one_orbital():

@@ -1,13 +1,22 @@
 """Minimizer contract and orbital-rotation 1-norm optimization."""
 
+from functools import partial
+
 import numpy as np
 import pytest
-from oracles import random_spatial
+from oracles import random_spatial, scipy_bfgs
 
 from lcunorm.errors import NumericalError
-from lcunorm.optimize import MAX_ITERS, TOL_GRAD, minimize, oo_pauli
+from lcunorm.fragments import theta_dim
+from lcunorm.optimize import TOL_GRAD, _oo_cost, _starts, minimize, oo_pauli
 from lcunorm.pauli import lambda_pauli_closed_form
 from lcunorm.tensors import load_fixture, to_chemist
+
+
+def _rosenbrock(x):
+    cost = float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+    dx1 = 200.0 * (x[1] - x[0] ** 2)
+    return cost, np.array([-2.0 * x[0] * dx1 - 2.0 * (1.0 - x[0]), dx1])
 
 
 def test_scalar_quadratic():
@@ -17,12 +26,7 @@ def test_scalar_quadratic():
 
 
 def test_rosenbrock():
-    def f(x):
-        cost = float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-        dx1 = 200.0 * (x[1] - x[0] ** 2)
-        return cost, np.array([-2.0 * x[0] * dx1 - 2.0 * (1.0 - x[0]), dx1])
-
-    x, fval, _ = minimize(f, np.array([-1.2, 1.0]))
+    x, fval, _ = minimize(_rosenbrock, np.array([-1.2, 1.0]))
     assert np.abs(x - 1.0).max() < 1e-6
 
 
@@ -46,22 +50,70 @@ def test_never_worse_than_start():
     assert f <= 1.0
 
 
+def _quadratic_case():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((10, 10))
+    a = m @ m.T + 10.0 * np.eye(10)
+    b = rng.standard_normal(10)
+    return lambda x: (float(0.5 * x @ a @ x - b @ x), a @ x - b), np.zeros(10), 1e-10
+
+
+def _csa_case():
+    # the first greedy CSA fit on the BeH2 residual, from its DF start
+    from lcunorm.fragments import _CSA_TOL_GRAD, _df_start, _fragment_fit
+    from lcunorm.pipeline import prepare
+
+    tbt = prepare("beh2", picture="interaction").tensors.tbt
+    scaled = tbt / np.sqrt((tbt * tbt).sum())
+    x0 = _df_start(scaled) + np.random.default_rng(0).uniform(-0.01, 0.01, theta_dim(tbt.shape[0]))
+    return partial(_fragment_fit, tbt=scaled), x0, _CSA_TOL_GRAD
+
+
+def _oo_case(width):
+    t = to_chemist(load_fixture("lih"))
+    return partial(_oo_cost, t=t, width=width), np.zeros(theta_dim(t.n_orb)), TOL_GRAD
+
+
+def _split_case():
+    # the split's last start on NH3, the one it keeps
+    from lcunorm.fragments import _fragment_fit
+    from lcunorm.picture import _SPLIT_WIDTH
+
+    t = to_chemist(load_fixture("nh3"))
+    x0 = _starts(np.zeros(theta_dim(t.n_orb)), 0, _SPLIT_WIDTH)[-1]
+    return partial(_fragment_fit, tbt=t.tbt, obt=t.obt), x0, TOL_GRAD
+
+
+_SCIPY_CASES = {
+    "rosenbrock": lambda: (_rosenbrock, np.array([-1.2, 1.0]), TOL_GRAD),
+    "quadratic": _quadratic_case,
+    "csa-beh2-residual": _csa_case,
+    "oo-lih-width-0": partial(_oo_case, 0.0),
+    "oo-lih-width-1e-2": partial(_oo_case, 1e-2),
+    "split-nh3": _split_case,
+}
+
+
+@pytest.mark.parametrize("case", list(_SCIPY_CASES))
+def test_iterates_are_scipys_bfgs(case):
+    # the same x, cost and iteration count bit for bit, from as many calls of f
+    f, x0, tol_grad = _SCIPY_CASES[case]()
+    calls = []
+    x, fval, nit = minimize(lambda y: (calls.append(None), f(y))[1], x0, tol_grad)
+    ref_x, ref_f, ref_nit, ref_calls = scipy_bfgs(f, x0, tol_grad)
+    assert nit > 0
+    assert np.array_equal(x, ref_x) and fval == ref_f and nit == ref_nit
+    assert len(calls) == ref_calls
+
+
 def test_start_is_evaluated_once():
-    import scipy.optimize
-
-    def rosenbrock(x):
-        cost = float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-        dx1 = 200.0 * (x[1] - x[0] ** 2)
-        return cost, np.array([-2.0 * x[0] * dx1 - 2.0 * (1.0 - x[0]), dx1])
-
     x0 = np.array([-1.2, 1.0])
     calls = []
-    x, f, nit = minimize(lambda x: (calls.append(x.copy()), rosenbrock(x))[1], x0)
+    x, f, nit = minimize(lambda x: (calls.append(x.copy()), _rosenbrock(x))[1], x0)
     assert sum(np.array_equal(c, x0) for c in calls) == 1
-    # scipy sees the same values at x0, so it takes the same steps
-    opts = {"gtol": TOL_GRAD, "maxiter": MAX_ITERS}
-    res = scipy.optimize.minimize(rosenbrock, x0, jac=True, method="BFGS", options=opts)
-    assert np.array_equal(x, res.x) and f == res.fun and nit == res.nit
+    # scipy's driver also evaluates x0 once, and takes the same steps
+    ref = scipy_bfgs(_rosenbrock, x0, TOL_GRAD)
+    assert np.array_equal(x, ref[0]) and (f, nit, len(calls)) == ref[1:]
 
 
 def test_non_finite_cost_raises():

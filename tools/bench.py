@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Cold per-layer record of the pipeline's layers, written to BENCH_1.json.
+"""Cold per-layer record of the pipeline's layers, written to BENCH_<n>.json.
 
-For each bundled fixture it times `split_interaction`, `csa_greedy`,
-`double_factorize` and `spectral_range` (dE/2) on the raw tensors (fastest
-of three calls, one BLAS thread, nothing cached).  In one more call it
-counts what does not depend on the machine: the fragments of CSA and DF,
-the BFGS runs, their iterations and their cost evaluations of the split
-and CSA, and the sectors and Lanczos matvecs of dE/2.  The rows are
+For each bundled fixture it times `split_interaction`, `oo_pauli`,
+`csa_greedy`, `double_factorize` and `spectral_range` (dE/2) on the raw
+tensors (fastest of three calls, one BLAS thread, nothing cached).  In one
+more call it counts what does not depend on the machine: the fragments of
+CSA and DF, the BFGS runs, their iterations and their cost evaluations of
+the split, OO and CSA, and the sectors and Lanczos matvecs of dE/2.  The rows are
 stored under a label, so the record can hold the code before and after a
 change side by side; the Python, numpy and scipy versions, the CPU count
 and the BLAS thread count are stored with them.
 
-    python tools/bench.py --label one-fragment-type [--out BENCH_1.json]
+    python tools/bench.py --label lean-bfgs [--out BENCH_2.json]
 
 The package is imported from the `src` next to this script, so a copy of
 the script in another checkout measures that checkout's code.
@@ -96,14 +96,16 @@ def _fastest(fn, *args):
 
 
 def layer_rows():
-    """{layer: {fixture: row}} for the split, CSA, DF and dE/2 on the raw
-    tensors.  The counted call runs first, so it pays the one-time scipy
+    """{layer: {fixture: row}} for the split, OO, CSA, DF and dE/2 on the
+    raw tensors.  The counted call runs first, so it pays the one-time scipy
     imports."""
-    rows = {"split": {}, "csa": {}, "df": {}, "de2": {}}
+    rows = {"split": {}, "oo": {}, "csa": {}, "df": {}, "de2": {}}
     for name in FIXTURE_NAMES:
         t = to_chemist(load_fixture(name))
         _, counts = _counted(split_interaction, t)
         rows["split"][name] = {"seconds": _fastest(split_interaction, t), **counts}
+        _, counts = _counted(optimize.oo_pauli, t)
+        rows["oo"][name] = {"seconds": _fastest(optimize.oo_pauli, t), **counts}
         frags, counts = _counted(csa_greedy, t)
         rows["csa"][name] = {"fragments": len(frags), "seconds": _fastest(csa_greedy, t), **counts}
         frags = double_factorize(t)
@@ -126,7 +128,7 @@ def environment():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this code's rows in the record")
-    ap.add_argument("--out", default="BENCH_1.json")
+    ap.add_argument("--out", default="BENCH_2.json")
     args = ap.parse_args(argv)
     record = {}
     if os.path.exists(args.out):
