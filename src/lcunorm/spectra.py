@@ -12,12 +12,12 @@ sector of its electron number with n_alpha - n_beta in {0, 1}, and
 Hamiltonian is a same-spin operator for each spin plus one cross-spin sum
 sum_y D_y (x) At_y, beta excitations D_y = E_pq against alpha partners At_y
 weighted by g + g.T.  A sector keeps only the dense At and the sparse D
-(each beta state has k + k(n - k) incoming excitations), so the Lanczos
-matvec runs as one GEMM and one sparse product, and Lanczos, the plain
-three-term recurrence, stores no Krylov basis.  The dense stack grows as
-n^2 d^2, so `spectral_range` estimates the peak bytes of its largest
-sector first and raises NumericalError above `_SECTOR_BYTES_LIMIT` (1 GiB)
-instead of allocating it.
+(each beta state has k + k(n - k) incoming excitations).  A matvec forms
+v @ At_y.T only on the beta states that D_y reads, in at most two batched
+GEMMs, and one sparse product; Lanczos, the plain three-term recurrence,
+stores no Krylov basis.  The dense stack grows as n^2 d^2, so
+`spectral_range` estimates the peak bytes of its largest sector first and
+raises NumericalError above `_SECTOR_BYTES_LIMIT` (1 GiB) instead.
 """
 
 from dataclasses import dataclass
@@ -93,9 +93,10 @@ class _Sector:
     splits into the same-spin operators `ha` (e0 folded in) and `hb` and
     the cross-spin sum_y D_y[beta] (x) At_y[alpha], where
     At_y = sum_x (g + g.T)[y, x] D_x collects both orderings of the pair
-    exactly, whatever the symmetry of g.  The sector keeps D[beta] as the
-    sparse d_rows[B, (B', y)] and At[alpha] as the dense at_cols[a', (y, a)],
-    the layouts in which each is one product operand.
+    exactly, whatever the symmetry of g.  D_y[B, B'] = 0 where E_y B' = 0,
+    so per group of y the matvec multiplies only the rows v[b] (y, k, a')
+    by At_y.T (y, a', a), into the buffer `rows` in the column order of
+    the sparse d_rows[B, (y, k)] = D_y[B, b[y, k]].
     """
 
     def __init__(self, t, n_alpha, n_beta):
@@ -108,25 +109,40 @@ class _Sector:
         self.db = len(masks_b)
         self.dim = self.da * self.db
         d, self.hb = _spin_parts(t, masks_b)
-        self.d_rows = csr_array(d.transpose(1, 2, 0).reshape(self.db, -1))
+        # each hop y = (p, q != p) reads as many B' as any other, and so does
+        # each number operator (p = q): grouped by that count, at most two GEMMs
+        nz = d.any(axis=1)  # nz[y, B'] = (E_y B' != 0)
+        sizes = nz.sum(axis=1)
+        groups = {s: np.flatnonzero(sizes == s) for s in np.unique(sizes)}
+        blocks = [np.nonzero(nz[y])[1].reshape(y.size, s) for s, y in groups.items()]
+        ys = np.concatenate([np.repeat(y, s) for s, y in groups.items()])
+        self.d_rows = csr_array(d[ys, :, np.concatenate(blocks, axis=None)].T)
         h_a = self.hb
         if n_alpha != n_beta:
             del d  # the beta stack lives on only as d_rows
             d, h_a = _spin_parts(t, masks_a)
         self.ha = h_a + t.e0 * np.eye(self.da)
         g = t.tbt.reshape(n * n, n * n)
-        # At_y[a, a'] = sum_x G[y, x] D_x[a, a'] = sum_x G[y, x^T] D_x[a', a],
-        # since D_x.T = D_(x^T), so the batched GEMM runs on contiguous rows
+        # At_y.T[a', a] = sum_x G[y, x] D_x[a, a'] = sum_x G[y, x^T] D_x[a', a],
+        # since D_x.T = D_(x^T), so each group's partners are one GEMM
         g_sym = (g + g.T).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
-        self.at_cols = np.matmul(g_sym, d.transpose(1, 0, 2)).reshape(self.da, -1)
+        partners = [g_sym[y] @ d.reshape(n * n, -1) for y in groups.values()]
+        del d  # so the build's peak does not also hold the buffer
+        self.rows = np.empty((ys.size, self.da))
+        outs = np.split(self.rows, np.cumsum([b.size for b in blocks])[:-1])
+        self.products = [
+            (b, at.reshape(-1, self.da, self.da), out.reshape(*b.shape, self.da))
+            for b, at, out in zip(blocks, partners, outs)
+        ]
 
     def matvec(self, vec):
         v = vec.reshape(self.db, self.da)
         w = self.hb @ v + v @ self.ha.T
-        # sum_y D_y[beta] @ v @ At_y[alpha].T: the sparse product contracts
-        # (B', y), the GEMM's output rows read as that pair
-        t = v @ self.at_cols
-        w += self.d_rows @ t.reshape(-1, self.da)
+        # sum_y D_y[beta] @ v @ At_y[alpha].T: the GEMMs fill the rows
+        # (B', y) that d_rows reads, and the sparse product contracts them
+        for b, at, out in self.products:
+            np.matmul(v[b], at, out=out)
+        w += self.d_rows @ self.rows
         return w.ravel()
 
 
@@ -207,17 +223,19 @@ def _sectors(n):
 
 def _sector_bytes(n, na, nb):
     """Estimated peak bytes of one sector: the larger of what is held while
-    it is built (a dense excitation stack next to its product with g) and
-    while Lanczos runs (the dense at_cols stack, a matvec's intermediate,
+    it is built (a dense excitation stack next to its product with g, three
+    same-spin blocks, g + g.T twice and the row indices) and while Lanczos
+    runs (the partner stacks, a matvec's rows and their gathered operand,
     the same-spin blocks and five sector vectors: the recurrence's current
     and previous one and the matvec's result and products), plus the
-    sparse d_rows stack."""
+    sparse d_rows stack, one entry per row read."""
     da, db = comb(n, na), comb(n, nb)
     dim = da * db
-    build = 2 * n * n * max(da, db) ** 2
-    run = n * n * (da * da + dim) + da * da + db * db + 5 * dim
+    reads = db * (nb + nb * (n - nb))
+    build = 2 * n * n * max(da, db) ** 2 + 3 * max(da, db) ** 2 + 2 * n**4 + 3 * reads
+    run = n * n * da * da + 2 * reads * da + da * da + db * db + 5 * dim
     # d_rows: a value and a 32-bit column index per entry, a pointer per row
-    sparse = 12 * db * (nb + nb * (n - nb)) + 4 * (db + 1)
+    sparse = 12 * reads + 4 * (db + 1)
     return 8 * max(build, run) + sparse
 
 
@@ -253,6 +271,7 @@ def spectral_range(t):
     for na, nb in _sectors(n):
         sec = _Sector(t, na, nb)
         lo, hi, res = _lanczos_extremes(sec.matvec, sec.dim)
+        del sec  # the next sector is built alone, as _check_size counts it
         worst = max(worst, res)
         e_min = min(e_min, lo)
         e_max = max(e_max, hi)

@@ -12,7 +12,8 @@ pairwise check and the dense reflection of an anticommuting group,
 sorted insertion as the term-by-term scan over every earlier term,
 symmetric last-bit noise on a two-electron tensor, the spectrum at a fixed
 electron number, the signed permutation from a
-particle sector's blocked states to the interleaved Fock basis, the
+particle sector's blocked states to the interleaved Fock basis, a
+sector's matvec with its whole cross-spin intermediate, the
 spectral range as Lanczos on every particle sector, the symmetry-shift
 problem as a linear program, the theta gradient of a rotation through
 scipy's Frechet derivative of the matrix exponential, scipy's own BFGS
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from lcunorm.errors import NumericalError
 from lcunorm.fragments import _tril
@@ -34,6 +36,7 @@ from lcunorm.spectra import (
     _LANCZOS_TOL,
     _Sector,
     _sector_basis,
+    _spin_parts,
     _tridiag_extremes,
 )
 from lcunorm.symshift import weighted_median
@@ -745,6 +748,37 @@ def sector_states(n, n_alpha, n_beta):
             idx.append(s)
             sgn.append(-1.0 if crossings & 1 else 1.0)
     return np.array(idx), np.array(sgn)
+
+
+class FullProductSector:
+    """One (n_alpha, n_beta) block applied with the whole cross-spin
+    intermediate: the GEMM v @ at_cols forms every row (B', y) of
+    v @ At_y.T, db * n^2 of them, and the sparse beta stack
+    d_rows[B, (B', y)] = D_y[B, B'] has a column for each, also where
+    E_y B' = 0 and the column is zero.  Its same-spin blocks and its
+    partners At_y = sum_x (g + g.T)[y, x] D_x are built as `_Sector`
+    builds them."""
+
+    def __init__(self, t, n_alpha, n_beta):
+        n = t.n_orb
+        masks_a, masks_b = _sector_basis(n, n_alpha), _sector_basis(n, n_beta)
+        self.da, self.db = len(masks_a), len(masks_b)
+        d, self.hb = _spin_parts(t, masks_b)
+        self.d_rows = scipy.sparse.csr_array(d.transpose(1, 2, 0).reshape(self.db, -1))
+        h_a = self.hb
+        if n_alpha != n_beta:
+            d, h_a = _spin_parts(t, masks_a)
+        self.ha = h_a + t.e0 * np.eye(self.da)
+        g = t.tbt.reshape(n * n, n * n)
+        # at_cols[a', (y, a)] = At_y[a, a'] = sum_x G[y, x^T] D_x[a', a]
+        g_sym = (g + g.T).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(n * n, n * n)
+        self.at_cols = np.matmul(g_sym, d.transpose(1, 0, 2)).reshape(self.da, -1)
+
+    def matvec(self, vec):
+        v = vec.reshape(self.db, self.da)
+        w = self.hb @ v + v @ self.ha.T
+        w += self.d_rows @ (v @ self.at_cols).reshape(-1, self.da)
+        return w.ravel()
 
 
 def lanczos_extremes_reorthogonalized(matvec, dim):

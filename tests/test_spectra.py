@@ -21,6 +21,7 @@ from lcunorm.spectra import (
 from lcunorm.tensors import SpatialTensors, load_fixture, to_chemist
 
 from oracles import (
+    FullProductSector,
     all_sector_range,
     dense_hamiltonian,
     lanczos_extremes_reorthogonalized,
@@ -67,6 +68,49 @@ def test_sector_operator_is_exact_for_any_two_body_tensor():
     obt = rng.normal(size=(2, 2))
     t = SimpleNamespace(n_orb=2, e0=0.3, obt=obt + obt.T, tbt=rng.normal(size=(2,) * 4))
     _check_sectors_against_oracle(t)
+
+
+def _no_index_symmetry(n, rng):
+    # g with no symmetry among its four indices, so bypass SpatialTensors
+    obt = rng.normal(size=(n, n))
+    return SimpleNamespace(n_orb=n, e0=0.3, obt=obt + obt.T, tbt=rng.normal(size=(n,) * 4))
+
+
+def _check_matvec_against_full_product(t, na, nb):
+    sec, ref = _Sector(t, na, nb), FullProductSector(t, na, nb)
+    for v in np.random.default_rng(12).standard_normal((3, sec.dim)):
+        want = ref.matvec(v)
+        assert np.linalg.norm(sec.matvec(v) - want) <= 1e-13 * np.linalg.norm(want), (na, nb)
+
+
+def test_matvec_matches_the_full_product_for_any_two_body_tensor():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4):
+        t = _no_index_symmetry(n, rng)
+        for na in range(n + 1):
+            for nb in range(n + 1):
+                _check_matvec_against_full_product(t, na, nb)
+
+
+@pytest.mark.parametrize("sector", [(4, 4), (4, 3)])
+def test_matvec_matches_the_full_product_on_nh3(sector):
+    _check_matvec_against_full_product(chemist("nh3"), *sector)
+
+
+def test_computed_rows_are_the_nonzero_columns_of_the_beta_stack():
+    # every row of the intermediate that the matvec computes is read, and
+    # every row that the full product's beta stack reads is computed
+    t = chemist("nh3")
+    computed = {}
+    for key in spectra._sectors(t.n_orb):
+        ours = _Sector(t, *key).d_rows.toarray()
+        full = FullProductSector(t, *key).d_rows.toarray()
+        read = full[:, full.any(axis=0)]
+        assert ours.shape == read.shape, key
+        # the same columns, up to their order
+        assert np.array_equal(ours[:, np.lexsort(ours)], read[:, np.lexsort(read)]), key
+        computed[key] = ours.shape[1]
+    assert computed[(4, 4)] == 1400
 
 
 def test_spectral_range_matches_dense_oracle():

@@ -6,12 +6,13 @@ For each bundled fixture it times `split_interaction`, `oo_pauli`,
 tensors (fastest of three calls, one BLAS thread, nothing cached).  In one
 more call it counts what does not depend on the machine: the fragments of
 CSA and DF, the BFGS runs, their iterations and their cost evaluations of
-the split, OO and CSA, and the sectors and Lanczos matvecs of dE/2.  The rows are
-stored under a label, so the record can hold the code before and after a
-change side by side; the Python, numpy and scipy versions, the CPU count
-and the BLAS thread count are stored with them.
+the split, OO and CSA, and the sectors, Lanczos matvecs and cross-spin rows
+(rows of the matvec's cross-spin intermediate, summed over matvecs) of
+dE/2.  The rows are stored under a label, so the record can hold the code
+before and after a change side by side; the Python, numpy and scipy
+versions, the CPU count and the BLAS thread count are stored with them.
 
-    python tools/bench.py --label lean-bfgs [--out BENCH_2.json]
+    python tools/bench.py --label rows-read [--out BENCH_3.json]
 
 The package is imported from the `src` next to this script, so a copy of
 the script in another checkout measures that checkout's code.
@@ -66,13 +67,18 @@ def _counted(fn, *args):
 
 
 def _counted_de2(t):
-    """Sectors visited and Lanczos matvecs of one `spectral_range(t)`."""
-    counts = {"sectors": 0, "matvecs": 0}
+    """Sectors visited, Lanczos matvecs and cross-spin rows of one
+    `spectral_range(t)`.  A matvec computes one row of its cross-spin
+    intermediate per column of the sector's sparse beta stack `d_rows`."""
+    counts = {"sectors": 0, "matvecs": 0, "cross_spin_rows": 0}
     real = spectra._lanczos_extremes
 
     def lanczos(matvec, dim):
+        rows = matvec.__self__.d_rows.shape[1]
+
         def counted(v):
             counts["matvecs"] += 1
+            counts["cross_spin_rows"] += rows
             return matvec(v)
 
         counts["sectors"] += 1
@@ -128,7 +134,7 @@ def environment():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this code's rows in the record")
-    ap.add_argument("--out", default="BENCH_2.json")
+    ap.add_argument("--out", default="BENCH_3.json")
     args = ap.parse_args(argv)
     record = {}
     if os.path.exists(args.out):
