@@ -56,25 +56,50 @@ def _tril(n, k=0):
     return rows, cols
 
 
-def _antisymmetric(theta, n):
-    a = np.zeros((n, n))
+# The LAPACK gufunc behind np.linalg.eigh(a) for complex Hermitian a (UPLO "L"),
+# loaded with numpy itself.
+_eigh_lo = np.linalg._umath_linalg.eigh_lo
+_EPS = np.finfo(float).eps  # np.sinc's stand-in for a zero argument
+
+
+@lru_cache(maxsize=None)
+def _tril_flat(n):
+    """Flat indices i*n + j of the strict lower triangle (i > j) in
+    np.tril_indices order, and j*n + i of the mirrored upper entries."""
     rows, cols = _tril(n, -1)
-    a[rows, cols] = theta
-    a[cols, rows] = -np.asarray(theta)
-    return a
+    lower, upper = rows * n + cols, cols * n + rows
+    lower.flags.writeable = False
+    upper.flags.writeable = False
+    return lower, upper
+
+
+def _antisymmetric(theta, n):
+    a = np.zeros(n * n)
+    lower, upper = _tril_flat(n)
+    a[lower] = theta
+    a[upper] = -np.asarray(theta)
+    return a.reshape(n, n)
 
 
 def _expm_antisym(a):
     """(expm(a), eigenpairs (w, v) of i*a) of a real antisymmetric a, exact
-    through the Hermitian eigendecomposition; _theta_grad reuses the pairs."""
-    w, v = np.linalg.eigh(1j * a)
+    through the Hermitian eigendecomposition; _theta_grad reuses the pairs.
+
+    The eigenpairs come from the LAPACK gufunc that np.linalg.eigh calls,
+    without its wrapper's checks: a non-finite a gives non-finite pairs
+    instead of LinAlgError (make_rotation checks theta first)."""
+    w, v = _eigh_lo(1j * a, signature="D->dD")
     u = (v * np.exp(-1j * w)) @ v.conj().T
     return np.ascontiguousarray(u.real), (w, v)
 
 
 def make_rotation(theta):
-    """The orthogonal matrix expm(a) of the generator with a_ij = theta_(i>j) = -a_ji."""
+    """The orthogonal matrix expm(a) of the generator with a_ij = theta_(i>j) = -a_ji.
+
+    Raises ValueError if theta is not finite."""
     theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("rotation angles must be finite")
     return _expm_antisym(_antisymmetric(theta, _n_from_theta(theta.size)))[0]
 
 
@@ -86,6 +111,8 @@ def rotate_tensors(u, t):
     n = t.n_orb
     if u.shape != (n, n):
         raise ValueError("rotation dimension does not match tensors")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("rotation matrix must be finite")
     if np.abs(u.T @ u - np.eye(n)).max() > 1e-10:
         raise ValueError("rotation matrix is not orthogonal to 1e-10")
     if abs(np.linalg.det(u) - 1.0) > 1e-8:
@@ -95,16 +122,21 @@ def rotate_tensors(u, t):
 
 
 def _rotate(u, obt, tbt):
-    """(u obt u^T, tbt with u on every index, tbt with u on its first three
-    indices as part[l, a, b, c]).
+    """(u obt u^T, tbt with u on every index, and tbt with u on its first
+    three indices, part[l, a, b, c], as the n^3 x n matrix flat[abc, l]).
 
-    One GEMM per two-body index: each contraction moves the rotated index
-    last, so four of them restore the original index order.
+    One GEMM per two-body index, the np.dot that np.tensordot(part, u,
+    axes=([0], [1])) runs on the same operands: each contraction moves the
+    rotated index last, so four of them restore the original index order.
+    flat is the last contraction's left operand.
     """
+    n = u.shape[0]
+    ut = u.transpose(1, 0).reshape(n, n)
     part = tbt
-    for _ in range(3):
-        part = np.tensordot(part, u, axes=([0], [1]))
-    return u @ obt @ u.T, np.tensordot(part, u, axes=([0], [1])), part
+    for _ in range(4):
+        flat = part.transpose(1, 2, 3, 0).reshape(n**3, n)
+        part = np.dot(flat, ut).reshape(n, n, n, n)
+    return u @ obt @ u.T, part, flat
 
 
 @dataclass
@@ -160,7 +192,7 @@ def double_factorize(t):
 def _pair_columns(u):
     """The n^2 x n matrix W with columns vec(u_a u_a^T); they are orthonormal."""
     n = u.shape[0]
-    return np.einsum("ia,ja->ija", u, u).reshape(n * n, n)
+    return (u[:, np.newaxis] * u).reshape(n * n, n)
 
 
 def _fragment_fit(theta, tbt, obt=None):
@@ -179,11 +211,12 @@ def _fragment_fit(theta, tbt, obt=None):
     g = tbt.reshape(n * n, n * n)
     tw = g @ w
     lam = w.T @ tw
+    wl = w @ lam
     # formed directly: |tbt|^2 - |lam|^2 cancels when the fragment explains tbt
-    diff = w @ lam @ w.T - g
+    diff = wl @ w.T - g
     cost = (diff * diff).sum()
     # (W lam W^T - tbt) W = W lam - tbt W, since W^T W = 1
-    dw = w @ lam - tw
+    dw = wl - tw
     gu = 8.0 * np.einsum("ija,ja->ia", (dw @ lam).reshape(n, n, n), u)
     if obt is not None:
         mu = _one_body_projection(u, obt)
@@ -216,11 +249,15 @@ def _theta_grad(eig, gu):
     and, negated, at (j, i).
     """
     w, v = eig
-    phi = np.exp(0.5j * (w[:, None] + w)) * np.sinc((w[:, None] - w) / (2 * np.pi))
+    col = w[:, np.newaxis]
+    # np.sinc((w_j - w_k) / 2 pi), inlined: sin(y) / y at y = pi x, y = 0 read as eps
+    y = np.pi * ((col - w) / (2 * np.pi))
+    y = np.where(y, y, _EPS)
+    phi = np.exp(0.5j * (col + w)) * (np.sin(y) / y)
     vh = v.conj().T
-    z = (v @ (phi * (vh @ gu @ v)) @ vh).real
-    rows, cols = _tril(v.shape[0], -1)
-    return z[rows, cols] - z[cols, rows]
+    z = (v @ (phi * (vh @ gu @ v)) @ vh).real.reshape(-1)
+    lower, upper = _tril_flat(v.shape[0])
+    return z[lower] - z[upper]
 
 
 CSA_TOL = 1e-6  # the paper's CSA stopping residual

@@ -43,8 +43,14 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
     bit for bit, run without its wrapper layers: H0 = I, a first step of
     length ~1, the same inverse-Hessian update (rho = 1000 where y.s = 0)
     and scipy's Wolfe line search (More-Thuente's DCSRCH, falling back to
-    its wolfe2 search).  `f` returns (cost, gradient) and is called once per
-    point, x0 included; `jac` must be true (false raises ValueError), and
+    its wolfe2 search).  Most searches accept DCSRCH's first trial step,
+    alpha1 = min(1, 2.02 (f_k - f_prev) / (g_k . p_k)) (1 if negative), so
+    the loop evaluates that step itself and keeps it when DCSRCH's own
+    convergence test holds there (sufficient decrease, c1 = 1e-4, and
+    |g_1 . p_k| <= 0.9 |g_k . p_k|); otherwise scipy's whole search runs,
+    and reads that point back from the last-point cache, so the cost
+    evaluations are the same.  `f` returns (cost, gradient) and is called
+    once per point, x0 included; `jac` must be true (false raises ValueError), and
     stays so that wrappers which forward the call shape (f, x0, tol_grad,
     jac) keep working.  Returns (x*, f(x*), iterations), with f(x*) <= f(x0).
     A non-finite cost or gradient, at x0 or during the search, raises
@@ -61,7 +67,7 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
         key = x.tobytes()
         if key != last[0]:
             c, g = f(x)
-            if not np.isfinite(c) or not np.all(np.isfinite(g)):
+            if not np.isfinite(c) or not np.isfinite(g).all():
                 raise _NonFinite(np.array(x))
             last[:] = key, (c, np.asarray(g, dtype=float))
         return last[1]
@@ -79,13 +85,25 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
         gnorm = np.abs(gk).max()
         while gnorm > tol_grad and k < MAX_ITERS:
             pk = -np.dot(hk, gk)
-            try:
-                alpha, _, _, fk, f_prev, g_next = _line_search_wolfe12(
-                    lambda x: at(x)[0], lambda x: at(x)[1], xk, pk, gk, fk, f_prev,
-                    amin=1e-100, amax=1e100, c1=1e-4, c2=0.9,
-                )
-            except _LineSearchError:
-                break
+            # DCSRCH's first trial step, kept if it passes DCSRCH's test there
+            d0 = np.dot(gk, pk)
+            g_next = None
+            if d0 < 0:
+                alpha = min(1.0, 1.01 * 2 * (fk - f_prev) / d0)
+                if alpha < 0:
+                    alpha = 1.0
+                if alpha >= 1e-100:
+                    f1, g1 = at(xk + alpha * pk)
+                    if f1 <= fk + alpha * (1e-4 * d0) and abs(np.dot(g1, pk)) <= 0.9 * -d0:
+                        fk, f_prev, g_next = f1, fk, g1
+            if g_next is None:
+                try:
+                    alpha, _, _, fk, f_prev, g_next = _line_search_wolfe12(
+                        lambda x: at(x)[0], lambda x: at(x)[1], xk, pk, gk, fk, f_prev,
+                        amin=1e-100, amax=1e100, c1=1e-4, c2=0.9,
+                    )
+                except _LineSearchError:
+                    break
             sk = alpha * pk
             xk = xk + sk
             if g_next is None:
@@ -98,9 +116,8 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
                 break
             rho_inv = np.dot(yk, sk)
             rho = 1000.0 if rho_inv == 0.0 else 1.0 / rho_inv
-            a1 = eye - sk[:, np.newaxis] * yk[np.newaxis, :] * rho
-            a2 = eye - yk[:, np.newaxis] * sk[np.newaxis, :] * rho
-            hk = np.dot(a1, np.dot(hk, a2)) + (rho * sk[:, np.newaxis] * sk[np.newaxis, :])
+            sy = np.multiply.outer(sk, yk) * rho
+            hk = np.dot(eye - sy, np.dot(hk, eye - sy.T)) + np.multiply.outer(rho * sk, sk)
     except _NonFinite as bad:
         raise NumericalError(
             "non-finite cost encountered during minimization",
@@ -123,12 +140,13 @@ def _oo_cost(theta, t, width=0.0):
     """
     n = t.n_orb
     u, eig = _expm_antisym(_antisymmetric(theta, n))
-    obt, g, part = _rotate(u, t.obt, t.tbt)
+    obt, g, flat = _rotate(u, t.obt, t.tbt)
     cost, s1, dg = _closed_form(obt, g, width, grad=True)
     dg = dg + dg.transpose(1, 0, 2, 3)
     dg = dg + dg.transpose(0, 1, 3, 2)
     dg = dg + dg.transpose(2, 3, 0, 1)
-    gu = 0.5 * np.tensordot(dg, part, axes=([0, 1, 2], [1, 2, 3]))
+    # np.tensordot(dg, part, axes=([0, 1, 2], [1, 2, 3])): its np.dot on its operands
+    gu = 0.5 * np.dot(dg.transpose(3, 0, 1, 2).reshape(n, n**3), flat)
     gu += (s1 + s1.T) @ u @ t.obt
     return cost, _theta_grad(eig, gu)
 

@@ -162,20 +162,20 @@ def _lanczos_extremes(matvec, dim):
     rng = np.random.default_rng(1905)
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
-    alphas, betas = [], []
-    for _ in range(_LANCZOS_CAP):
+    alphas, betas = np.empty(_LANCZOS_CAP), np.empty(_LANCZOS_CAP)
+    for j in range(_LANCZOS_CAP):
         w = matvec(q)
         a = float(q @ w)
-        alphas.append(a)
+        alphas[j] = a
         w = w - a * q
-        if betas:
-            w = w - betas[-1] * q_prev
+        if j:
+            w = w - betas[j - 1] * q_prev
         b = float(np.linalg.norm(w))
-        (lo, last_lo), (hi, last_hi) = _tridiag_extremes(alphas, betas)
+        (lo, last_lo), (hi, last_hi) = _tridiag_extremes(alphas[: j + 1], betas[:j])
         res = b * max(abs(last_lo), abs(last_hi))
         if res <= _LANCZOS_TOL or b < 1e-13:
             return lo, hi, res
-        betas.append(b)
+        betas[j] = b
         w /= b
         q_prev, q = q, w
     raise NumericalError(

@@ -16,8 +16,9 @@ particle sector's blocked states to the interleaved Fock basis, a
 sector's matvec with its whole cross-spin intermediate, the
 spectral range as Lanczos on every particle sector, the symmetry-shift
 problem as a linear program, the theta gradient of a rotation through
-scipy's Frechet derivative of the matrix exponential, scipy's own BFGS
-driver, the DF start's log through scipy's general matrix log, and the
+scipy's Frechet derivative of the matrix exponential, the rotation kernel
+and the CSA and OO costs through np.linalg.eigh, np.sinc, np.einsum and
+np.tensordot, scipy's own BFGS driver, the DF start's log through scipy's general matrix log, and the
 count of reflection-pair products as a loop over the entries.
 """
 
@@ -895,6 +896,96 @@ def expm_frechet_theta_grad(a, gu):
     z = scipy.linalg.expm_frechet(a.T, gu, compute_expm=False)
     rows, cols = _tril(a.shape[0], -1)
     return z[rows, cols] - z[cols, rows]
+
+
+# ---- the rotation kernel through numpy's own wrappers ----------------------
+#
+# The library's kernel calls the LAPACK gufunc behind np.linalg.eigh, inlines
+# np.sinc and runs np.tensordot's np.dot itself; these are the same formulas
+# through the wrappers, and the library must agree with them bit for bit.
+
+
+def antisymmetric_2d(theta, n):
+    """The generator a with a_ij = theta_(i>j) = -a_ji, by 2-D index pairs."""
+    a = np.zeros((n, n))
+    rows, cols = _tril(n, -1)
+    a[rows, cols] = theta
+    a[cols, rows] = -np.asarray(theta)
+    return a
+
+
+def expm_antisym_eigh(a):
+    """(expm(a), eigenpairs (w, v) of i*a) of a real antisymmetric a, by
+    np.linalg.eigh."""
+    w, v = np.linalg.eigh(1j * a)
+    u = (v * np.exp(-1j * w)) @ v.conj().T
+    return np.ascontiguousarray(u.real), (w, v)
+
+
+def theta_grad_sinc(eig, gu):
+    """Gradient in theta from the eigenpairs of i*a and the gradient gu in
+    u = expm(a), with np.sinc (Daleckii-Krein)."""
+    w, v = eig
+    phi = np.exp(0.5j * (w[:, None] + w)) * np.sinc((w[:, None] - w) / (2 * np.pi))
+    vh = v.conj().T
+    z = (v @ (phi * (vh @ gu @ v)) @ vh).real
+    rows, cols = _tril(v.shape[0], -1)
+    return z[rows, cols] - z[cols, rows]
+
+
+def pair_columns_einsum(u):
+    """The n^2 x n matrix with columns vec(u_a u_a^T), by np.einsum."""
+    n = u.shape[0]
+    return np.einsum("ia,ja->ija", u, u).reshape(n * n, n)
+
+
+def rotate_tensordot(u, obt, tbt):
+    """(u obt u^T, tbt with u on every index, tbt with u on its first three
+    indices as part[l, a, b, c]), by np.tensordot."""
+    part = tbt
+    for _ in range(3):
+        part = np.tensordot(part, u, axes=([0], [1]))
+    return u @ obt @ u.T, np.tensordot(part, u, axes=([0], [1])), part
+
+
+def fragment_fit_reference(theta, tbt, obt=None):
+    """The squared misfit of one orbital-rotated fragment and its theta
+    gradient (fragments._fragment_fit), from the kernel above."""
+    from lcunorm.fragments import _one_body_projection
+
+    n = tbt.shape[0]
+    u, eig = expm_antisym_eigh(antisymmetric_2d(theta, n))
+    w = pair_columns_einsum(u)
+    g = tbt.reshape(n * n, n * n)
+    tw = g @ w
+    lam = w.T @ tw
+    diff = w @ lam @ w.T - g
+    cost = (diff * diff).sum()
+    dw = w @ lam - tw
+    gu = 8.0 * np.einsum("ija,ja->ia", (dw @ lam).reshape(n, n, n), u)
+    if obt is not None:
+        mu = _one_body_projection(u, obt)
+        da = (u * mu) @ u.T - obt
+        cost = (da * da).sum() + cost
+        gu = gu + 4.0 * da @ (u * mu)
+    return float(cost), theta_grad_sinc(eig, gu)
+
+
+def oo_cost_reference(theta, t, width=0.0):
+    """The closed form of t rotated by theta and its theta gradient
+    (optimize._oo_cost), from the kernel above."""
+    from lcunorm.pauli import _closed_form
+
+    n = t.n_orb
+    u, eig = expm_antisym_eigh(antisymmetric_2d(theta, n))
+    obt, g, part = rotate_tensordot(u, t.obt, t.tbt)
+    cost, s1, dg = _closed_form(obt, g, width, grad=True)
+    dg = dg + dg.transpose(1, 0, 2, 3)
+    dg = dg + dg.transpose(0, 1, 3, 2)
+    dg = dg + dg.transpose(2, 3, 0, 1)
+    gu = 0.5 * np.tensordot(dg, part, axes=([0, 1, 2], [1, 2, 3]))
+    gu += (s1 + s1.T) @ u @ t.obt
+    return cost, theta_grad_sinc(eig, gu)
 
 
 # ---- BFGS and the DF start --------------------------------------------------

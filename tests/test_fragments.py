@@ -3,19 +3,29 @@
 import numpy as np
 import pytest
 from oracles import (
+    antisymmetric_2d,
     dense_hamiltonian,
     df_start_logm,
+    expm_antisym_eigh,
+    fragment_fit_reference,
+    pair_columns_einsum,
     random_spatial,
     reflection_term_count_loop,
+    rotate_tensordot,
+    theta_grad_sinc,
 )
 from scipy.optimize import linear_sum_assignment
 
 from lcunorm.errors import NumericalError
 from lcunorm.fragments import (
     Fragment,
+    _antisymmetric,
     _df_start,
+    _expm_antisym,
     _fragment_fit,
     _pair_columns,
+    _rotate,
+    _theta_grad,
     csa_greedy,
     double_factorize,
     fragment_tensor,
@@ -51,6 +61,74 @@ def test_rotation_orthogonality():
     u = make_rotation(rng.standard_normal(theta_dim(4)))
     assert np.abs(u.T @ u - np.eye(4)).max() < 1e-12
     assert abs(np.linalg.det(u) - 1.0) < 1e-10
+
+
+def test_rotation_rejects_non_finite_angles():
+    # the kernel's eigensolver returns NaN pairs for a NaN generator instead
+    # of raising, so make_rotation checks theta itself
+    for bad in (np.nan, np.inf, -np.inf):
+        theta = np.zeros(theta_dim(3))
+        theta[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            make_rotation(theta)
+
+
+def test_rotate_tensors_rejects_a_non_finite_matrix():
+    # NaN fails every comparison, so without its own check an all-NaN
+    # matrix would pass the orthogonality and determinant tests
+    t = to_chemist(load_fixture("h2"))
+    with pytest.raises(ValueError, match="finite"):
+        rotate_tensors(np.full((2, 2), np.nan), t)
+    with pytest.raises(ValueError, match="finite"):
+        rotate_tensors(np.array([[1.0, 0.0], [0.0, np.inf]]), t)
+
+
+def test_rotation_kernel_matches_numpys_wrappers_bit_for_bit():
+    # the eigh gufunc, the inlined sinc, the flat-index scatter and gathers,
+    # the broadcast pair columns and tensordot's np.dot against
+    # np.linalg.eigh, np.sinc, 2-D indexing, np.einsum and np.tensordot.  At
+    # theta = 0 every eigenvalue is 0 (sinc's eps branch on every entry);
+    # equal 2x2 rotation blocks repeat the +-0.7 pairs
+    rng = np.random.default_rng(46)
+    for n in range(2, 9):
+        k = theta_dim(n)
+        rows, cols = np.tril_indices(n, -1)
+        blocks = np.zeros((n, n))
+        for p in range(0, n - 1, 2):
+            blocks[p + 1, p], blocks[p, p + 1] = 0.7, -0.7
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        repeated = (q @ blocks @ q.T)[rows, cols]
+        t = random_spatial(n, rng)
+        for theta in [np.zeros(k), repeated, *rng.uniform(-3.0, 3.0, size=(3, k))]:
+            a = _antisymmetric(theta, n)
+            assert np.array_equal(a, antisymmetric_2d(theta, n))
+            u, (w, v) = _expm_antisym(a)
+            ref_u, (ref_w, ref_v) = expm_antisym_eigh(a)
+            assert np.array_equal(u, ref_u) and np.array_equal(w, ref_w)
+            assert np.array_equal(v, ref_v)
+            gu = rng.normal(size=(n, n))
+            assert np.array_equal(_theta_grad((w, v), gu), theta_grad_sinc((w, v), gu))
+            assert np.array_equal(_pair_columns(u), pair_columns_einsum(u))
+            obt, tbt, flat = _rotate(u, t.obt, t.tbt)
+            ref_obt, ref_tbt, ref_part = rotate_tensordot(u, t.obt, t.tbt)
+            assert np.array_equal(obt, ref_obt) and np.array_equal(tbt, ref_tbt)
+            assert np.array_equal(flat, ref_part.transpose(1, 2, 3, 0).reshape(n**3, n))
+
+
+@pytest.mark.parametrize("molecule", FIXTURE_NAMES)
+def test_fragment_fit_matches_its_reference_bit_for_bit(molecule):
+    # CSA's fit (the unit-scaled tensor) and the split's (with obt) at the DF
+    # start of the raw, shifted and residual tensors
+    from lcunorm.pipeline import prepare
+
+    for variant in ({}, {"shift": True}, {"picture": "interaction"}):
+        t = prepare(molecule, **variant).tensors
+        scaled = t.tbt / np.sqrt((t.tbt * t.tbt).sum())
+        theta = _df_start(scaled)
+        for args in ((theta, scaled), (theta, t.tbt, t.obt)):
+            cost, grad = _fragment_fit(*args)
+            ref_cost, ref_grad = fragment_fit_reference(*args)
+            assert cost == ref_cost and np.array_equal(grad, ref_grad)
 
 
 def test_rotation_rejects_non_orthogonal():

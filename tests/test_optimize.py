@@ -4,13 +4,13 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import random_spatial, scipy_bfgs
+from oracles import oo_cost_reference, random_spatial, scipy_bfgs
 
 from lcunorm.errors import NumericalError
-from lcunorm.fragments import theta_dim
+from lcunorm.fragments import _df_start, _fragment_fit, theta_dim
 from lcunorm.optimize import TOL_GRAD, _oo_cost, _starts, minimize, oo_pauli
 from lcunorm.pauli import lambda_pauli_closed_form
-from lcunorm.tensors import load_fixture, to_chemist
+from lcunorm.tensors import FIXTURE_NAMES, load_fixture, to_chemist
 
 
 def _rosenbrock(x):
@@ -106,6 +106,33 @@ def test_iterates_are_scipys_bfgs(case):
     assert len(calls) == ref_calls
 
 
+def test_first_trial_step_is_kept_or_handed_to_scipy(monkeypatch):
+    # minimize keeps scipy's first trial step when it passes DCSRCH's test,
+    # and otherwise runs scipy's whole line search, which reads that point
+    # from the cache.  Across the cases both branches run: Rosenbrock needs
+    # the search, and most CSA iterations keep the first step
+    import scipy.optimize._optimize as scipy_optimize
+
+    real = scipy_optimize._line_search_wolfe12
+    searches = []
+
+    def spy(*args, **kwargs):
+        searches.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy_optimize, "_line_search_wolfe12", spy)
+    counts = {}
+    for case, build in _SCIPY_CASES.items():
+        f, x0, tol_grad = build()
+        del searches[:]
+        nit = minimize(f, x0, tol_grad)[2]
+        counts[case] = (nit, len(searches))
+    assert counts["rosenbrock"][1] > 0
+    nit, handed = counts["csa-beh2-residual"]
+    assert 0 < handed < nit / 2
+    assert sum(n for n, _ in counts.values()) > sum(h for _, h in counts.values())
+
+
 def test_start_is_evaluated_once():
     x0 = np.array([-1.2, 1.0])
     calls = []
@@ -125,6 +152,24 @@ def test_non_finite_cost_raises():
         with pytest.raises(NumericalError) as err:
             minimize(cost, np.zeros(1))
         assert "last_x" in err.value.payload
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_inside_a_search_raises_numerical_error():
+    # a NaN generator reaching the rotation kernel mid-search gives a NaN
+    # cost (its eigensolver does not raise), which minimize reports with the
+    # iterate
+    t = to_chemist(load_fixture("lih"))
+    calls = []
+
+    def poisoned(theta):
+        calls.append(None)
+        return _fragment_fit(theta if len(calls) < 4 else theta * np.nan, t.tbt, t.obt)
+
+    with pytest.raises(NumericalError) as err:
+        minimize(poisoned, _starts(np.zeros(theta_dim(t.n_orb)), 0, 0.2)[1])
+    assert len(calls) == 4
+    assert err.value.payload["last_x"].shape == (theta_dim(t.n_orb),)
 
 
 def test_finite_difference_mode_is_gone():
@@ -151,6 +196,22 @@ def test_deterministic():
     r1 = minimize(f, x0.copy())
     r2 = minimize(f, x0.copy())
     assert np.array_equal(r1[0], r2[0]) and r1[1] == r2[1]
+
+
+@pytest.mark.parametrize("molecule", FIXTURE_NAMES)
+def test_oo_cost_matches_its_reference_bit_for_bit(molecule):
+    # tensordot's np.dot run directly, and the fourth rotation's operand
+    # reused for the gradient, against np.tensordot, at the DF start of the
+    # raw, shifted and residual tensors, exact and smoothed
+    from lcunorm.pipeline import prepare
+
+    for variant in ({}, {"shift": True}, {"picture": "interaction"}):
+        t = prepare(molecule, **variant).tensors
+        theta = _df_start(t.tbt / np.sqrt((t.tbt * t.tbt).sum()))
+        for width in (0.0, 1e-2):
+            cost, grad = _oo_cost(theta, t, width)
+            ref_cost, ref_grad = oo_cost_reference(theta, t, width)
+            assert cost == ref_cost and np.array_equal(grad, ref_grad)
 
 
 def test_oo_pauli_never_worsens():

@@ -12,7 +12,7 @@ dE/2.  The rows are stored under a label, so the record can hold the code
 before and after a change side by side; the Python, numpy and scipy
 versions, the CPU count and the BLAS thread count are stored with them.
 
-    python tools/bench.py --label rows-read [--out BENCH_3.json]
+    python tools/bench.py --label lean-step [--out BENCH_4.json]
 
 The package is imported from the `src` next to this script, so a copy of
 the script in another checkout measures that checkout's code.
@@ -134,7 +134,7 @@ def environment():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this code's rows in the record")
-    ap.add_argument("--out", default="BENCH_3.json")
+    ap.add_argument("--out", default="BENCH_4.json")
     args = ap.parse_args(argv)
     record = {}
     if os.path.exists(args.out):
