@@ -12,8 +12,6 @@ from .fragments import (
     csa_greedy,
     double_factorize,
     fragment_tensor,
-    fragments_from_json,
-    fragments_to_json,
     lambda_complete_square,
     lambda_fermionic,
     lambda_sqrt_fragment,

@@ -11,7 +11,6 @@ antisymmetric generator theta_(i>j).  Fragment-level 1-norm costings
 here too.
 """
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,8 +30,6 @@ __all__ = [
     "lambda_sqrt_fragment",
     "lambda_complete_square",
     "reflection_term_count",
-    "fragments_to_json",
-    "fragments_from_json",
 ]
 
 
@@ -389,12 +386,3 @@ def reflection_term_count(lam, cutoff):
         np.count_nonzero(np.diag(half) > cutoff)
         + 4 * np.count_nonzero(half[_tril(lam.shape[0], -1)] > cutoff)
     )
-
-
-def fragments_to_json(frags):
-    """Fragments as JSON: each frame u and its lam."""
-    return json.dumps([{"u": f.u.tolist(), "lam": f.lam.tolist()} for f in frags])
-
-
-def fragments_from_json(text):
-    return [Fragment(np.asarray(d["u"]), np.asarray(d["lam"])) for d in json.loads(text)]

@@ -7,6 +7,7 @@ import numpy as np
 from .errors import NumericalError
 from .fragments import _antisymmetric, _expm_antisym, _rotate, _theta_grad, theta_dim
 from .pauli import _closed_form, lambda_pauli_closed_form
+from .work import add
 
 __all__ = ["minimize", "oo_pauli"]
 
@@ -52,9 +53,11 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
     evaluations are the same.  `f` returns (cost, gradient) and is called
     once per point, x0 included; `jac` must be true (false raises ValueError), and
     stays so that wrappers which forward the call shape (f, x0, tol_grad,
-    jac) keep working.  Returns (x*, f(x*), iterations), with f(x*) <= f(x0).
+    jac) keep working.  Returns (x*, f(x*), iterations), with f(x*) <= f(x0),
+    and adds one run, its iterations and its calls of f to the open
+    `work.counting()` blocks as bfgs_runs, bfgs_iters and cost_evals.
     A non-finite cost or gradient, at x0 or during the search, raises
-    NumericalError carrying the offending iterate.
+    NumericalError carrying the offending iterate (and counts nothing).
     """
     if not jac:
         raise ValueError("minimize needs f to return (cost, gradient): jac must be true")
@@ -62,10 +65,13 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
 
     x0 = np.array(x0, dtype=float)
     last = [None, None]  # the last point's bytes and its (cost, gradient)
+    evals = 0
 
     def at(x):
+        nonlocal evals
         key = x.tobytes()
         if key != last[0]:
+            evals += 1
             c, g = f(x)
             if not np.isfinite(c) or not np.isfinite(g).all():
                 raise _NonFinite(np.array(x))
@@ -75,6 +81,7 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
     try:
         f0, gk = at(x0)
         if x0.size == 0:  # nothing to search, e.g. the rotation of one orbital
+            add(bfgs_runs=1, bfgs_iters=0, cost_evals=evals)
             return x0, float(f0), 0
         eye = np.eye(x0.size)
         hk = eye
@@ -123,6 +130,7 @@ def minimize(f, x0, tol_grad=TOL_GRAD, jac=True):
             "non-finite cost encountered during minimization",
             payload={"last_x": bad.args[0]},
         ) from None
+    add(bfgs_runs=1, bfgs_iters=k, cost_evals=evals)
     if fk > f0:
         return x0, float(f0), k
     return xk, float(fk), k

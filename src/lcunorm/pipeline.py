@@ -36,10 +36,9 @@ from .errors import NumericalError
 from .fragments import (
     CSA_TOL,
     DF_TOL,
+    Fragment,
     csa_greedy,
     double_factorize,
-    fragments_from_json,
-    fragments_to_json,
     lambda_complete_square,
     lambda_fermionic,
     lambda_sqrt_fragment,
@@ -199,11 +198,14 @@ class _MethodEngine:
 
     @cached_property
     def gcsa_fragments(self):
-        doc = self.cache.fetch(
-            "gcsa-frags",
-            lambda: {"frags": fragments_to_json(csa_greedy(self.t, self.seed))},
-        )
-        return fragments_from_json(doc["frags"])
+        """Greedy CSA's fragments; the entry holds each one's u and lam."""
+
+        def compute():
+            frags = csa_greedy(self.t, self.seed)
+            return {"frags": [{"u": f.u.tolist(), "lam": f.lam.tolist()} for f in frags]}
+
+        doc = self.cache.fetch("gcsa-frags", compute)
+        return [Fragment(np.asarray(d["u"]), np.asarray(d["lam"])) for d in doc["frags"]]
 
     def frame(self, optimized):
         """(tensors, JW polynomial) in the input or the OO-optimal orbitals."""

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .pauli import jordan_wigner
+from .work import add
 
 __all__ = [
     "SpectralRange",
@@ -143,6 +144,7 @@ class _Sector:
         for b, at, out in self.products:
             np.matmul(v[b], at, out=out)
         w += self.d_rows @ self.rows
+        add(matvecs=1, cross_spin_rows=self.rows.shape[0])
         return w.ravel()
 
 
@@ -262,7 +264,10 @@ def spectral_range(t):
     those 2n + 1 sectors only; the residual is the worst bound over them.
     Raises NumericalError, before building any sector, when the largest
     of them would exceed `_SECTOR_BYTES_LIMIT`, and when a sector's
-    Lanczos run reaches `_LANCZOS_CAP` steps.
+    Lanczos run reaches `_LANCZOS_CAP` steps.  Adds the sectors, their
+    Lanczos matvecs and the rows of the matvecs' cross-spin products
+    (`_Sector.rows`, summed over matvecs) to the open `work.counting()`
+    blocks as sectors, matvecs and cross_spin_rows.
     """
     n = t.n_orb
     _check_size(n)
@@ -270,6 +275,7 @@ def spectral_range(t):
     worst = 0.0
     for na, nb in _sectors(n):
         sec = _Sector(t, na, nb)
+        add(sectors=1)
         lo, hi, res = _lanczos_extremes(sec.matvec, sec.dim)
         del sec  # the next sector is built alone, as _check_size counts it
         worst = max(worst, res)

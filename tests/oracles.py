@@ -18,8 +18,10 @@ spectral range as Lanczos on every particle sector, the symmetry-shift
 problem as a linear program, the theta gradient of a rotation through
 scipy's Frechet derivative of the matrix exponential, the rotation kernel
 and the CSA and OO costs through np.linalg.eigh, np.sinc, np.einsum and
-np.tensordot, scipy's own BFGS driver, the DF start's log through scipy's general matrix log, and the
-count of reflection-pair products as a loop over the entries.
+np.tensordot, scipy's own BFGS driver, the DF start's log through scipy's general matrix log, the
+count of reflection-pair products as a loop over the entries, and the work
+counters taken from outside by replacing the searches' minimize and dE/2's
+Lanczos run.
 """
 
 from dataclasses import dataclass
@@ -1045,3 +1047,62 @@ def reflection_term_count_loop(lam, cutoff):
             if abs(lam[i, j] / 2.0) > cutoff:
                 count += 4
     return count
+
+
+# ---- work counted from outside ------------------------------------------
+
+
+def counted_by_patching(fn, *args):
+    """(fn(*args), counts) with lcunorm.optimize.minimize replaced by a
+    wrapper that counts BFGS runs, iterations and calls of the cost (the
+    searches import it per call)."""
+    from lcunorm import optimize
+
+    counts = {"bfgs_runs": 0, "bfgs_iters": 0, "cost_evals": 0}
+    real = optimize.minimize
+
+    def minimize(f, x0, tol_grad, jac=True):
+        def f_counted(x):
+            counts["cost_evals"] += 1
+            return f(x)
+
+        x, fval, iters = real(f_counted, x0, tol_grad, jac)
+        counts["bfgs_runs"] += 1
+        counts["bfgs_iters"] += iters
+        return x, fval, iters
+
+    optimize.minimize = minimize
+    try:
+        result = fn(*args)
+    finally:
+        optimize.minimize = real
+    return result, counts
+
+
+def counted_de2_by_patching(t):
+    """Sectors visited, Lanczos matvecs and cross-spin rows of one
+    `spectral_range(t)`, with the Lanczos run replaced by a wrapper.  A
+    matvec computes one row of its cross-spin product per column of the
+    sector's sparse beta stack `d_rows`."""
+    from lcunorm import spectra
+
+    counts = {"sectors": 0, "matvecs": 0, "cross_spin_rows": 0}
+    real = spectra._lanczos_extremes
+
+    def lanczos(matvec, dim):
+        rows = matvec.__self__.d_rows.shape[1]
+
+        def counted(v):
+            counts["matvecs"] += 1
+            counts["cross_spin_rows"] += rows
+            return matvec(v)
+
+        counts["sectors"] += 1
+        return real(counted, dim)
+
+    spectra._lanczos_extremes = lanczos
+    try:
+        spectra.spectral_range(t)
+    finally:
+        spectra._lanczos_extremes = real
+    return counts

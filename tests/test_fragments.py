@@ -1,5 +1,7 @@
 """Fragment decompositions: rotations, double factorization, greedy CSA, costs."""
 
+import json
+
 import numpy as np
 import pytest
 from oracles import (
@@ -29,8 +31,6 @@ from lcunorm.fragments import (
     csa_greedy,
     double_factorize,
     fragment_tensor,
-    fragments_from_json,
-    fragments_to_json,
     lambda_complete_square,
     lambda_fermionic,
     lambda_sqrt_fragment,
@@ -39,7 +39,9 @@ from lcunorm.fragments import (
     rotate_tensors,
     theta_dim,
 )
+from lcunorm.pipeline import _MethodEngine, prepare
 from lcunorm.tensors import FIXTURE_NAMES, SpatialTensors, load_fixture, to_chemist
+from lcunorm.work import counting
 
 
 def _diag_fragment(lam, n):
@@ -119,8 +121,6 @@ def test_rotation_kernel_matches_numpys_wrappers_bit_for_bit():
 def test_fragment_fit_matches_its_reference_bit_for_bit(molecule):
     # CSA's fit (the unit-scaled tensor) and the split's (with obt) at the DF
     # start of the raw, shifted and residual tensors
-    from lcunorm.pipeline import prepare
-
     for variant in ({}, {"shift": True}, {"picture": "interaction"}):
         t = prepare(molecule, **variant).tensors
         scaled = t.tbt / np.sqrt((t.tbt * t.tbt).sum())
@@ -282,8 +282,6 @@ def test_df_start_turns_an_improper_frame_proper():
 def test_df_start_log_matches_logm(molecule):
     # the Schur log of the DF frame against scipy's general logm, on the raw,
     # shifted and residual tensors
-    from lcunorm.pipeline import prepare
-
     for variant in ({}, {"shift": True}, {"picture": "interaction"}):
         tbt = prepare(molecule, **variant).tensors.tbt
         assert np.abs(_df_start(tbt) - df_start_logm(tbt)).max() <= 1e-13
@@ -306,26 +304,21 @@ def test_df_start_one_orbital():
     assert make_rotation(theta).tolist() == [[1.0]]
 
 
-def test_csa_runs_one_fit_per_fragment(monkeypatch):
-    import lcunorm.optimize as opt
-
-    calls, real = [], opt.minimize
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(opt, "minimize", counting)
+def test_csa_runs_one_fit_per_fragment():
     t = random_spatial(4, np.random.default_rng(47))
-    frags = csa_greedy(t, seed=0)
+    with counting() as counts:
+        frags = csa_greedy(t, seed=0)
     assert len(frags) > 1
-    assert len(calls) == len(frags)
+    assert counts["bfgs_runs"] == len(frags)
 
 
 def test_csa_is_deterministic_per_seed():
     t = to_chemist(load_fixture("lih"))
-    runs = [fragments_to_json(csa_greedy(t, seed=5)) for _ in range(2)]
-    assert runs[0] == runs[1]
+    a, b = (csa_greedy(t, seed=5) for _ in range(2))
+    assert len(a) == len(b)
+    for f, g in zip(a, b):
+        assert np.array_equal(f.u, g.u)
+        assert np.array_equal(f.lam, g.lam)
 
 
 @pytest.mark.parametrize("with_obt", [False, True], ids=["csa", "split"])
@@ -433,17 +426,20 @@ def test_one_body_norm_shared_code_path():
     assert l1_a == l1_b == float(np.abs(mu).sum())
 
 
-def test_fragment_json_round_trip():
-    rng = np.random.default_rng(43)
-    u = make_rotation(rng.standard_normal(theta_dim(3)))
-    lam = rng.standard_normal((3, 3))
-    lam = lam + lam.T
-    frags = [Fragment(u, lam), _diag_fragment(-lam, 3)]
-    back = fragments_from_json(fragments_to_json(frags))
-    assert len(back) == 2
-    for f, g in zip(frags, back):
-        assert np.array_equal(f.u, g.u)
-        assert np.array_equal(f.lam, g.lam)
+def test_fragment_json_round_trip(tmp_path):
+    # the pipeline's gcsa-frags entry stores each fragment's u and lam as
+    # JSON arrays; an engine that reads the entry back gets the same bits
+    prepared = prepare("lih")
+    frags = csa_greedy(prepared.tensors, seed=0)
+    stored = _MethodEngine(prepared, str(tmp_path)).gcsa_fragments
+    (entry,) = tmp_path.glob("*-gcsa-frags.json")
+    doc = json.loads(entry.read_text())
+    assert [sorted(d) for d in doc["frags"]] == [["lam", "u"]] * len(frags)
+    back = _MethodEngine(prepared, str(tmp_path)).gcsa_fragments
+    assert len(stored) == len(back) == len(frags)
+    for f, g, h in zip(frags, stored, back):
+        assert np.array_equal(f.u, g.u) and np.array_equal(f.u, h.u)
+        assert np.array_equal(f.lam, g.lam) and np.array_equal(f.lam, h.lam)
 
 
 def test_fragment_symmetrizes_lam_and_rejects_an_asymmetric_one():
