@@ -259,7 +259,6 @@ def _theta_grad(eig, gu):
 
 CSA_TOL = 1e-6  # the paper's CSA stopping residual
 _CSA_FRAGS_PER_ORBITAL = 50  # CSA fails past this many fragments per orbital
-_CSA_TOL_GRAD = 1e-9  # gradient tolerance of each greedy CSA fit
 
 
 def _df_start(tbt):
@@ -297,9 +296,11 @@ def csa_greedy(t, seed=0):
     projection of the residual onto the rotation's pair columns (see
     _fragment_fit).  The fit starts from the residual's leading DF rotation
     (_df_start) plus a seeded perturbation in (-0.01, 0.01), without which
-    BFGS can stall on that stationary point.  Stops when the residual
-    Frobenius norm falls to CSA_TOL; raises NumericalError if that takes
-    more than _CSA_FRAGS_PER_ORBITAL fragments per orbital.
+    BFGS can stall on that stationary point.  A fit stops at a gradient of
+    0.1 CSA_TOL / rnorm, within [1e-9, 1e-3], for the residual norm rnorm
+    before it; what it misses is left to the next fragment.  Stops when the
+    residual Frobenius norm falls to CSA_TOL; raises NumericalError if that
+    takes more than _CSA_FRAGS_PER_ORBITAL fragments per orbital.
     """
     from .optimize import minimize
 
@@ -318,11 +319,13 @@ def csa_greedy(t, seed=0):
                 f"(residual {rnorm:.3e})",
                 payload={"residual": rnorm, "n_fragments": len(frags)},
             )
-        # fit the unit-normalized residual so the cost stays O(1); the best
-        # rotation does not depend on the scale
+        # fit the unit-normalized residual so the cost f stays O(1); the best
+        # rotation does not depend on the scale.  |target - rnorm F| has rnorm /
+        # (2 sqrt f) times f's gradient, so a fit stops when that is ~CSA_TOL / 10
         scaled = target / rnorm
         x0 = _df_start(scaled) + rng.uniform(-0.01, 0.01, size=theta_dim(n))
-        x, fval, _ = minimize(lambda y: _fragment_fit(y, scaled), x0, _CSA_TOL_GRAD, jac=True)
+        tol_grad = min(1e-3, max(1e-9, 0.1 * CSA_TOL / rnorm))
+        x, fval, _ = minimize(lambda y: _fragment_fit(y, scaled), x0, tol_grad, jac=True)
         if fval > 1.0 - 1e-9:
             raise NumericalError(
                 f"CSA stagnated at fragment {len(frags)}: residual {rnorm:.3e}",

@@ -11,8 +11,9 @@ from .work import add
 
 __all__ = ["minimize", "oo_pauli"]
 
-# The searches' fixed settings: gradient tolerance (greedy CSA passes its
-# own), iteration cap of each BFGS run, and seeded restarts (see _starts).
+# The searches' fixed settings: gradient tolerance (greedy CSA sets its own
+# per fit, from the residual's norm), iteration cap of each BFGS run, and
+# seeded restarts (see _starts).
 TOL_GRAD = 1e-8
 MAX_ITERS = 2000
 RESTARTS = 2

@@ -162,7 +162,8 @@ class _Cache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=self.key(name), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, sort_keys=True)
+                # json.dumps runs the C encoder, json.dump the Python one; same bytes
+                fh.write(json.dumps(doc, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -19,7 +19,8 @@ problem as a linear program, the theta gradient of a rotation through
 scipy's Frechet derivative of the matrix exponential, the rotation kernel
 and the CSA and OO costs through np.linalg.eigh, np.sinc, np.einsum and
 np.tensordot, scipy's own BFGS driver, the DF start's log through scipy's general matrix log, the
-count of reflection-pair products as a loop over the entries, and the work
+count of reflection-pair products as a loop over the entries, greedy CSA's
+per-fit gradient tolerance as its stated rule, and the work
 counters taken from outside by replacing the searches' minimize and dE/2's
 Lanczos run.
 """
@@ -31,7 +32,7 @@ import scipy.linalg
 import scipy.sparse
 
 from lcunorm.errors import NumericalError
-from lcunorm.fragments import _tril
+from lcunorm.fragments import CSA_TOL, _tril
 from lcunorm.grouping import AcGroup, AcPartition, _insertion_order, sorted_insertion
 from lcunorm.pauli import _HALF, PRUNE_TOL, PauliPolynomial, _product, _unpack
 from lcunorm.spectra import (
@@ -1047,6 +1048,13 @@ def reflection_term_count_loop(lam, cutoff):
             if abs(lam[i, j] / 2.0) > cutoff:
                 count += 4
     return count
+
+
+def csa_fit_tolerance(rnorm):
+    """Greedy CSA's gradient tolerance for the fit of a residual of norm
+    rnorm, as stated: 0.1 CSA_TOL / rnorm, no tighter than 1e-9 and no
+    looser than 1e-3."""
+    return min(1e-3, max(1e-9, 0.1 * CSA_TOL / rnorm))
 
 
 # ---- work counted from outside ------------------------------------------

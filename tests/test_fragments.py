@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import (
     antisymmetric_2d,
+    csa_fit_tolerance,
     dense_hamiltonian,
     df_start_logm,
     expm_antisym_eigh,
@@ -20,6 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from lcunorm.errors import NumericalError
 from lcunorm.fragments import (
+    CSA_TOL,
     Fragment,
     _antisymmetric,
     _df_start,
@@ -310,6 +312,35 @@ def test_csa_runs_one_fit_per_fragment():
         frags = csa_greedy(t, seed=0)
     assert len(frags) > 1
     assert counts["bfgs_runs"] == len(frags)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e2], ids=["lih", "lih-x1e-2", "lih-x1e2"])
+def test_csa_fit_tolerance_follows_the_residual(monkeypatch, scale):
+    # csa_greedy imports minimize at each call, so every fit goes through this
+    import lcunorm.optimize as opt
+
+    inner, tols = opt.minimize, []
+
+    def recording(f, x0, tol_grad, jac=True):
+        tols.append(tol_grad)
+        return inner(f, x0, tol_grad, jac)
+
+    monkeypatch.setattr(opt, "minimize", recording)
+    lih = to_chemist(load_fixture("lih"))
+    t = lih.replace(tbt=scale * lih.tbt)
+    frags = csa_greedy(t, seed=0)
+    assert len(tols) == len(frags)
+    # each fit gets the rule's value for the residual norm before it
+    target = t.tbt.copy()
+    for tol, frag in zip(tols, frags):
+        assert tol == csa_fit_tolerance(float(np.sqrt((target * target).sum())))
+        target -= fragment_tensor(frag)
+    assert np.sqrt((target * target).sum()) <= CSA_TOL
+    # never tighter as the residual shrinks: the last fits (residual below
+    # 1e-4) reach the cap, and only the tensor scaled by 1e2 the floor
+    assert all(a <= b for a, b in zip(tols, tols[1:]))
+    assert tols[-1] == 1e-3
+    assert (tols[0] == 1e-9) == (scale == 1e2)
 
 
 def test_csa_is_deterministic_per_seed():

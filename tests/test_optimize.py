@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import oo_cost_reference, random_spatial, scipy_bfgs
+from oracles import csa_fit_tolerance, oo_cost_reference, random_spatial, scipy_bfgs
 
 from lcunorm.errors import NumericalError
 from lcunorm.fragments import _df_start, _fragment_fit, theta_dim
@@ -60,13 +60,14 @@ def _quadratic_case():
 
 def _csa_case():
     # the first greedy CSA fit on the BeH2 residual, from its DF start
-    from lcunorm.fragments import _CSA_TOL_GRAD, _df_start, _fragment_fit
+    from lcunorm.fragments import _df_start, _fragment_fit
     from lcunorm.pipeline import prepare
 
     tbt = prepare("beh2", picture="interaction").tensors.tbt
-    scaled = tbt / np.sqrt((tbt * tbt).sum())
+    rnorm = float(np.sqrt((tbt * tbt).sum()))
+    scaled = tbt / rnorm
     x0 = _df_start(scaled) + np.random.default_rng(0).uniform(-0.01, 0.01, theta_dim(tbt.shape[0]))
-    return partial(_fragment_fit, tbt=scaled), x0, _CSA_TOL_GRAD
+    return partial(_fragment_fit, tbt=scaled), x0, csa_fit_tolerance(rnorm)
 
 
 def _oo_case(width):

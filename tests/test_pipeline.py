@@ -7,11 +7,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import _VARIANTS
+from oracles import csa_fit_tolerance
 
 from lcunorm.cli import main
-from lcunorm.pipeline import METHOD_ORDER, emit_table, run_pipeline
+from lcunorm.pipeline import METHOD_ORDER, emit_table, prepare, run_pipeline
 from lcunorm.tensors import fixture_path
 
 FAST = ["de2", "pauli", "ac", "df"]
@@ -118,8 +120,11 @@ def test_searches_pass_their_tolerance_positionally(runner, tmp_path, monkeypatc
 
     monkeypatch.setattr(opt, "minimize", forwarder)
     wrapped = run_pipeline("h2", picture="interaction", cache_dir=str(tmp_path))
-    # the split, the orbital search and greedy CSA all went through it
-    assert None not in seen and {1e-8, 1e-9} <= set(seen)
+    # the split, the orbital search and greedy CSA (one fit of the residual)
+    # all went through it
+    tbt = prepare("h2", picture="interaction").tensors.tbt
+    csa_tol = csa_fit_tolerance(float(np.sqrt((tbt * tbt).sum())))
+    assert None not in seen and set(seen) == {opt.TOL_GRAD, csa_tol}
     plain = runner.report("h2", "residual")
     assert emit_table([wrapped], fmt="json") == emit_table([plain], fmt="json")
 
@@ -168,19 +173,38 @@ def test_interleaved_cache_writers_both_store(tmp_path, monkeypatch):
     import lcunorm.pipeline as pl
 
     cache = pl._Cache(str(tmp_path), pl.prepare("h2").tensors, 0)
-    dump, writers = json.dump, []
+    dumps, writers = json.dumps, []
 
-    def interleaved(doc, fh, **kwargs):
+    def interleaved(doc, **kwargs):
         writers.append(doc)
         if len(writers) == 1:
             assert cache.fetch("x", lambda: {"v": 2}) == {"v": 2}
-        dump(doc, fh, **kwargs)
+        return dumps(doc, **kwargs)
 
-    monkeypatch.setattr(json, "dump", interleaved)
+    monkeypatch.setattr(json, "dumps", interleaved)
     assert cache.fetch("x", lambda: {"v": 1}) == {"v": 1}
     assert writers == [{"v": 1}, {"v": 2}]
     assert os.listdir(tmp_path) == [cache.key("x") + ".json"]
     assert json.loads((tmp_path / (cache.key("x") + ".json")).read_text()) == {"v": 1}
+
+
+def test_cache_entries_are_sorted_compact_json(tmp_path):
+    # an entry's bytes are json.dumps(doc, sort_keys=True), the C encoder's
+    import lcunorm.pipeline as pl
+
+    doc = {"b": [1.5, {"z": None, "a": 0.1}], "a": -2, "é": "x"}
+    cache = pl._Cache(str(tmp_path / "one"), pl.prepare("h2").tensors, 0)
+    assert cache.fetch("x", lambda: doc) == doc
+    stored = tmp_path / "one" / (cache.key("x") + ".json")
+    assert stored.read_bytes() == json.dumps(doc, sort_keys=True).encode()
+    # and so is every entry of a full report, the fragment entry included
+    d = tmp_path / "all"
+    run_pipeline("h2", picture="interaction", cache_dir=str(d))
+    names = os.listdir(d)
+    assert any(name.endswith("-gcsa-frags.json") for name in names)
+    for name in names:
+        text = (d / name).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True)
 
 
 def test_cache_dir_from_environment(tmp_path, monkeypatch):

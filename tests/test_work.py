@@ -15,6 +15,7 @@ from oracles import counted_by_patching, counted_de2_by_patching
 from lcunorm.fragments import csa_greedy, double_factorize
 from lcunorm.optimize import minimize, oo_pauli
 from lcunorm.picture import split_interaction
+from lcunorm.pipeline import prepare
 from lcunorm.spectra import spectral_range
 from lcunorm.tensors import load_fixture, to_chemist
 from lcunorm.work import add, counting
@@ -95,8 +96,34 @@ def test_bench_tool_counts_h2():
     for row in rows.values():
         assert row.pop("seconds") >= 0.0
     t = to_chemist(load_fixture("h2"))
+    residual = prepare("h2", picture="interaction").tensors
     expected = {layer: counted_by_patching(fn, t)[1] for layer, fn in _SEARCHES.items()}
     expected["csa"]["fragments"] = len(csa_greedy(t))
+    expected["csa-residual"] = counted_by_patching(csa_greedy, residual)[1]
+    expected["csa-residual"]["fragments"] = len(csa_greedy(residual))
     expected["df"] = {"fragments": len(double_factorize(t))}
     expected["de2"] = counted_de2_by_patching(t)
     assert rows == expected
+
+
+def test_bench_tool_keeps_a_labels_fastest_seconds(tmp_path):
+    # runs under one label keep each row's fastest seconds and count the runs;
+    # a run whose counters differ from the label's exits and stores nothing
+    code = (
+        "import sys; sys.path.insert(0, 'tools'); import bench\n"
+        "runs = iter([0.5, 0.7, 0.2])\n"
+        "bench.layer_rows = lambda: {'csa': {'h2': {'cost_evals': 9, 'seconds': next(runs)}}}\n"
+        "for _ in range(3):\n"
+        "    bench.main(['--label', 'x', '--out', sys.argv[1]])\n"
+        "bench.layer_rows = lambda: {'csa': {'h2': {'cost_evals': 8, 'seconds': 0.1}}}\n"
+        "bench.main(['--label', 'x', '--out', sys.argv[1]])\n"
+    )
+    record = tmp_path / "BENCH.json"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(record)], cwd=ROOT, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert out.returncode != 0 and "counters differ" in out.stderr
+    entry = json.loads(record.read_text())["x"]
+    assert entry["runs"] == 3
+    assert entry["csa"] == {"h2": {"cost_evals": 9, "seconds": 0.2}}
